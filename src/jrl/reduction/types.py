@@ -17,6 +17,7 @@ from ..specfun.weierstrass import (
     weier_p_twisted,
 )
 from ..voa.algebra import (
+    MAX_LEVEL_CAP,
     VACUUM,
     AlgebraElement,
     AlgebraSpec,
@@ -26,7 +27,6 @@ from ..voa.algebra import (
     state_level,
 )
 from ..voa.trace import DEFAULT_HEADROOM, TraceWeights, npoint_trace, working_module
-from ..voa.algebra import MAX_LEVEL_CAP
 
 
 @dataclass(frozen=True)
@@ -112,6 +112,12 @@ class NPointRequest:
     def __post_init__(self):
         if self.cap > MAX_LEVEL_CAP:
             raise DomainViolation(f"level cap {self.cap} exceeds {MAX_LEVEL_CAP}")
+        for v, _ in self.insertions:
+            for state in v.terms:
+                if any(not 0 <= f < self.spec.rank for f, _ in state.boson):
+                    raise DomainViolation(
+                        f"boson flavor in {state.boson} is out of range for rank {self.spec.rank}"
+                    )
         ws = [complex(w) for _, w in self.insertions]
         for i in range(len(ws)):
             for j in range(i + 1, len(ws)):

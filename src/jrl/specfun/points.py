@@ -22,9 +22,6 @@ DEFAULT_NQ = 12
 DEFAULT_NMODE = 64
 DEFAULT_TOL = 1e-9
 
-MAX_LEVEL_CAP = 16
-MAX_NMODE = 64
-
 
 def phase(x: complex) -> complex:
     """exp(2 pi i x), with Re(x) reduced mod 1 first.

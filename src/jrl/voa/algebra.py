@@ -17,13 +17,24 @@ Basis states are canonical products: boson creators as a sorted multiset of
 (flavor, level) pairs, fermion creators as sorted tuples of distinct labels
 with the b block left of the c block.  All fermionic signs are relative to
 that ordering.
+
+For array traces a module also carries `FockArrays`: an exact integer key
+per state, built from the occupations of its creator slots, one slot per
+(species, flavor, label).  Fermion occupations are bits, so the key of a
+fermionic state is its bit string; boson occupations are packed
+mixed-radix.  A single mode then acts on a vector of state indices by
+integer arithmetic on the keys plus `np.searchsorted` (the usual
+exact-diagonalisation encoding, H. Q. Lin, Phys. Rev. B 42, 6561 (1990)).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable
+
+import numpy as np
 
 from ..errors import CapTooLarge, DomainViolation, UnsupportedInsertion
 
@@ -220,6 +231,152 @@ class ModuleSpace:
     def charge(self, state: BasisState) -> float:
         return state_charge(self.spec, self.sector, state)
 
+    @cached_property
+    def arrays(self) -> "FockArrays":
+        """Array form of the basis, built on the first array trace."""
+        return FockArrays(self)
+
+
+# keys stay below this bound, so that integer arithmetic on them is exact
+_KEY_LIMIT = 1 << 62
+
+
+def _left_parity(code: np.ndarray) -> np.ndarray:
+    """Bit k of the result is the parity of the set bits of code below k.
+
+    Shifts and xors on uint64 only, so that no numpy 2 popcount is needed.
+    """
+    x = code.astype(np.uint64) << np.uint64(1)
+    for k in (1, 2, 4, 8, 16, 32):
+        x ^= x << np.uint64(k)
+    return x
+
+
+class FockArrays:
+    """Integer-encoded basis of a module.
+
+    A creator slot is one (species, flavor, label).  The key of a state
+    packs its slot occupations mixed-radix: a fermion slot has radix 2, so
+    fermionic keys are bit strings, and a boson slot of level l has radix
+    floor(cap / l) + 1.  That product overflows 64 bits for large modules
+    (about 2^75 for rank 2 at level 22), so the slots are split into
+    consecutive groups whose packed code fits next to a state count.  The
+    key over groups 0..g is the rank of the key over groups 0..g-1 among
+    the module's keys, times the radix of group g, plus the code of group
+    g.  Most modules need one group, whose code is the key.  Every key
+    stays below 2^62, and the final key is injective on the basis.
+    `level`, `charge` and `parity` are per-state arrays in module order.
+    """
+
+    def __init__(self, module: ModuleSpace):
+        spec, cap, dim = module.spec, module.cap, module.dim
+        slots: list[tuple[str, int, int]] = []
+        slot_level: list[float] = []
+        if spec.kind == "heisenberg":
+            for f in range(spec.rank):
+                for l in range(1, int(math.floor(cap)) + 1):
+                    slots.append(("a", f, l))
+                    slot_level.append(float(l))
+        else:
+            for species in ("b", "c") if spec.kind == "complex_fermion" else ("b",):
+                w0 = spec.species_weight(species)
+                j = 1
+                while j - 1.0 + w0 <= cap:
+                    slots.append((species, 0, j))
+                    slot_level.append(j - 1.0 + w0)
+                    j += 1
+        self.slot_index = {slot: s for s, slot in enumerate(slots)}
+        self.slot_level = slot_level
+        if spec.kind == "heisenberg":
+            self.slot_radix = [int(cap // l) + 1 for l in slot_level]
+        else:
+            self.slot_radix = [2] * len(slots)
+
+        # split the slots into groups whose packed code fits next to a rank
+        limit = _KEY_LIMIT // (dim + 1)
+        self.group: list[int] = []
+        self.stride: list[int] = []
+        self.radix: list[int] = [1]
+        for r in self.slot_radix:
+            if self.radix[-1] * r > limit:
+                self.radix.append(1)
+            self.group.append(len(self.radix) - 1)
+            self.stride.append(self.radix[-1])
+            self.radix[-1] *= r
+
+        # per-state codes and levels; the slot lookups are keyed by what
+        # the states already hold, so the loop allocates no tuples
+        boson_slot = {(f, l): s for (x, f, l), s in self.slot_index.items() if x == "a"}
+        b_slot = {l: s for (x, _, l), s in self.slot_index.items() if x == "b"}
+        c_slot = {l: s for (x, _, l), s in self.slot_index.items() if x == "c"}
+        codes = [[0] * dim for _ in self.radix]
+        level = [0.0] * dim
+        nb = [0] * dim
+        nc = [0] * dim
+        for i, st in enumerate(module.states):
+            nb[i], nc[i] = len(st.ferm_b), len(st.ferm_c)
+            occupied = [boson_slot[p] for p in st.boson] + [b_slot[j] for j in st.ferm_b]
+            for slot in occupied + [c_slot[j] for j in st.ferm_c]:
+                codes[self.group[slot]][i] += self.stride[slot]
+                level[i] += slot_level[slot]
+        self.level = np.array(level)
+        if spec.kind == "complex_fermion":
+            self.charge = np.array(nb, dtype=float) - np.array(nc, dtype=float)
+        else:
+            self.charge = np.full(dim, state_charge(spec, module.sector, VACUUM))
+        self.parity = (np.array(nb) + np.array(nc)) % 2
+
+        self.code: list[np.ndarray] = []
+        self.prefix: list[np.ndarray | None] = []
+        self.sorted_keys: list[np.ndarray] = []
+        rank = None
+        for code, r in zip(codes, self.radix):
+            code = np.array(code, dtype=np.int64)
+            key = code if rank is None else rank * r + code
+            self.code.append(code)
+            self.prefix.append(rank)
+            # sorted distinct keys (np.unique would import numpy.ma)
+            srt = np.sort(key)
+            srt = srt[np.concatenate(([True], srt[1:] != srt[:-1]))]
+            self.sorted_keys.append(srt)
+            rank = np.searchsorted(srt, key)
+        self.key = key
+        self.order = np.argsort(key)
+        if spec.kind != "heisenberg":
+            # bit k of left_odd[g]: the parity of the fermions left of bit k
+            # of group g, groups before g included
+            self.left_odd: list[np.ndarray] = []
+            carry = np.zeros(dim, dtype=np.uint64)
+            for code in self.code:
+                lp = _left_parity(code)
+                self.left_odd.append((lp ^ carry).view(np.int64))
+                # codes stay below 2^62, so bit 63 is the parity of the
+                # whole group; carry turns all ones where it is odd
+                carry ^= np.uint64(0) - (lp >> np.uint64(63))
+
+    def occupation(self, idx: np.ndarray, s: int) -> np.ndarray:
+        """Occupation of slot s in the states idx."""
+        return self.code[self.group[s]][idx] // self.stride[s] % self.slot_radix[s]
+
+    def sign(self, idx: np.ndarray, s: int) -> np.ndarray:
+        """(-1)^(fermions left of slot s) in the states idx: the sign of
+        moving a fermion creator or annihilator past them to slot s."""
+        bit = self.stride[s].bit_length() - 1
+        return 1 - 2 * ((self.left_odd[self.group[s]][idx] >> bit) & 1)
+
+    def locate(self, idx: np.ndarray, s: int, step: int) -> np.ndarray:
+        """Indices of the states idx with the occupation of slot s moved by
+        step.  Every moved state must be a basis state of the module."""
+        g = self.group[s]
+        key = self.code[g][idx] + step * self.stride[s]
+        if g:
+            key += self.prefix[g][idx] * self.radix[g]
+        rank = np.searchsorted(self.sorted_keys[g], key)
+        for h in range(g + 1, len(self.radix)):
+            key = rank * self.radix[h] + self.code[h][idx]
+            rank = np.searchsorted(self.sorted_keys[h], key)
+        return self.order[rank]
+
 
 def enumerate_basis(
     spec: AlgebraSpec,
@@ -321,6 +478,18 @@ def _fermion_remove(levels: tuple[int, ...], j: int) -> tuple[int, tuple[int, ..
     return pos, tuple(x for x in levels if x != j)
 
 
+def _check_mode(op: ModeOp, spec: AlgebraSpec) -> None:
+    if op.species == "a":
+        if spec.kind != "heisenberg":
+            raise UnsupportedInsertion("bosonic mode on a fermionic module")
+        if not 0 <= op.flavor < spec.rank:
+            raise DomainViolation("flavor out of range")
+    elif spec.kind == "heisenberg":
+        raise UnsupportedInsertion("fermionic mode on a bosonic module")
+    elif op.species == "c" and spec.kind != "complex_fermion":
+        raise UnsupportedInsertion("c modes exist on the complex fermion only")
+
+
 def apply_mode(op: ModeOp, x: AlgebraElement, module: ModuleSpace) -> AlgebraElement:
     """Left action of a single mode on an element, truncated at module.cap.
 
@@ -330,11 +499,8 @@ def apply_mode(op: ModeOp, x: AlgebraElement, module: ModuleSpace) -> AlgebraEle
     out = AlgebraElement(truncated=x.truncated)
     cap = module.cap
 
+    _check_mode(op, spec)
     if op.species == "a":
-        if spec.kind != "heisenberg":
-            raise UnsupportedInsertion("bosonic mode on a fermionic module")
-        if not 0 <= op.flavor < spec.rank:
-            raise DomainViolation("flavor out of range")
         for state, coeff in x.terms.items():
             if op.n < 0:
                 l = -op.n
@@ -355,11 +521,6 @@ def apply_mode(op: ModeOp, x: AlgebraElement, module: ModuleSpace) -> AlgebraEle
                         BasisState(boson=tuple(reduced)), coeff * mult * op.n
                     )
         return out
-
-    if spec.kind == "heisenberg":
-        raise UnsupportedInsertion("fermionic mode on a bosonic module")
-    if op.species == "c" and spec.kind != "complex_fermion":
-        raise UnsupportedInsertion("c modes exist on the complex fermion only")
 
     for state, coeff in x.terms.items():
         nb = len(state.ferm_b)
@@ -425,6 +586,57 @@ def apply_mode(op: ModeOp, x: AlgebraElement, module: ModuleSpace) -> AlgebraEle
                     coeff * (-1.0) ** sgn,
                 )
     return out
+
+
+def mode_image(
+    op: ModeOp, module: ModuleSpace, idx: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Images of the basis states idx under one mode, as (target, coeff).
+
+    State idx[i] maps to coeff[i] times state target[i].  Where the image
+    vanishes or leaves the level cap, coeff is 0 and target is -1.  The
+    coefficient is the fermion sign, the boson multiplicity times the mode
+    label, or the sector charge for a boson zero mode, as in apply_mode.
+    """
+    spec = module.spec
+    _check_mode(op, spec)
+    arr = module.arrays
+    target = np.full(len(idx), -1, dtype=np.intp)
+    coeff = np.zeros(len(idx))
+    if op.species == "a" and op.n == 0:
+        if module.sector[op.flavor]:
+            target[:] = idx
+            coeff[:] = module.sector[op.flavor]
+        return target, coeff
+
+    create = op.n < 0
+    if op.species == "a":
+        slot = ("a", op.flavor, abs(op.n))
+    elif create:
+        slot = (op.species, 0, -op.n)
+    else:
+        # b(n) and c(n) with n >= 0 remove the partner label n + 1
+        partner = "b" if spec.kind == "real_fermion" else {"b": "c", "c": "b"}[op.species]
+        slot = (partner, 0, op.n + 1)
+    s = arr.slot_index.get(slot)
+    if s is None:
+        return target, coeff
+    occ = arr.occupation(idx, s)
+    fermion = spec.kind != "heisenberg"
+    if create:
+        valid = arr.level[idx] + arr.slot_level[s] <= module.cap
+        if fermion:
+            valid &= occ == 0
+    else:
+        valid = occ > 0
+    hit = np.flatnonzero(valid)
+    src = idx[hit]
+    target[hit] = arr.locate(src, s, 1 if create else -1)
+    if fermion:
+        coeff[hit] = arr.sign(src, s)
+    else:
+        coeff[hit] = 1.0 if create else occ[hit] * float(op.n)
+    return target, coeff
 
 
 def _general_binom(x: float, k: int) -> float:

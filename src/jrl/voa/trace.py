@@ -7,7 +7,8 @@ parity p contributes
 
 with e(x) = exp(2 pi i x), flux zeta = e(z), and cws an optional extra
 weight per unit charge (used by the charge-regraded trace).  Keeping the
-exponents additive avoids complex-power branch cuts entirely.
+exponents additive avoids complex-power branch cuts entirely.  The weights
+of all basis states are computed as one array.
 
 Vertex operators are dressed mode sums: for a single-oscillator state of
 species X the insertion at position w contributes modes X(m) with
@@ -16,6 +17,13 @@ Operator order is left to right in the argument list, so the last
 insertion acts first and must carry the largest Im w:
 
     0 < Im w_1 < Im w_2 < ... < Im w_n < Im tau.
+
+The direct n-point trace is a sum over mode paths: one mode (or the
+identity part) from each insertion, applied innermost first to every
+basis state at once.  A mode changes the level by the same amount on
+every state, so the outermost insertion only needs the one mode that
+brings the path back to its starting level; the path then contributes
+where it ends on its own start state.
 """
 
 from __future__ import annotations
@@ -24,8 +32,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from ..errors import DomainViolation, TruncationLoss, UnsupportedInsertion
-from ..specfun.points import ModularPoint, Truncation, phase
+from ..specfun.points import ModularPoint, phase
 from .algebra import (
     VACUUM,
     AlgebraElement,
@@ -33,10 +43,12 @@ from .algebra import (
     BasisState,
     ModeOp,
     ModuleSpace,
+    _check_mode,
     _general_binom,
     apply_mode,
     enumerate_basis,
-    state_level,
+    mode_image,
+    sector_weight,
 )
 
 DEFAULT_HEADROOM = 12
@@ -123,38 +135,6 @@ def field_callable(
     return lambda x: apply_field(module, v, w, x)
 
 
-def _field_diagonal(
-    module: ModuleSpace,
-    v: AlgebraElement,
-    w: complex,
-    elem: AlgebraElement,
-    target: BasisState,
-    target_level: float,
-) -> complex:
-    """<target| Yd(v, w) |elem> without building the full image."""
-    spec = module.spec
-    scalar, comps = _single_components(spec, v)
-    total = scalar * elem.terms.get(target, 0.0)
-    for cv, species, flavor, j in comps:
-        wt_x = spec.species_weight(species)
-        for state2, c2 in elem.terms.items():
-            # X(m) changes the level by wt_x - 1 - m; solve for m
-            delta = target_level - state_level(spec, state2)
-            m_f = (wt_x - 1.0) - delta
-            m = round(m_f)
-            if abs(m_f - m) > 1e-9:
-                continue
-            cc = (-1.0) ** (j - 1) * _general_binom(m + j - 1, j - 1)
-            if cc == 0.0:
-                continue
-            img = apply_mode(ModeOp(species, m, flavor), AlgebraElement.from_state(state2), module)
-            amp = img.terms.get(target)
-            if not amp:
-                continue
-            total += cv * cc * phase(w * (wt_x - m - 1)) * c2 * amp
-    return total
-
-
 @dataclass(frozen=True)
 class TraceWeights:
     """Flux and grading data entering the trace weight of each state."""
@@ -165,18 +145,26 @@ class TraceWeights:
     charge_weight_shift: float = 0.0
 
 
-def _state_factor(
-    module: ModuleSpace, tau: ModularPoint, tw: TraceWeights, state: BasisState
-) -> complex:
-    wt = module.weight(state) + tw.charge_weight_shift * module.charge(state)
+def _grading_factors(module: ModuleSpace, tau: ModularPoint, tw: TraceWeights) -> np.ndarray:
+    """Trace weight of every basis state, in module order."""
+    arr = module.arrays
+    wt = sector_weight(module.spec, module.sector) + arr.level + tw.charge_weight_shift * arr.charge
     if tw.include_c_shift:
         wt -= module.spec.central_charge / 24.0
-    expo = tau.tau * wt
+    # real and imaginary parts of tau * wt + z * charge
+    re = tau.tau.real * wt
+    im = tau.tau.imag * wt
     if tw.flux_z is not None:
-        expo = expo + tw.flux_z * module.charge(state)
-    f = phase(expo)
-    if tw.supertrace and state.parity:
-        f = -f
+        z = complex(tw.flux_z)
+        re += z.real * arr.charge
+        im += z.imag * arr.charge
+    # phase() elementwise: Re reduced mod 1 before exponentiating
+    f = np.empty(module.dim, dtype=complex)
+    f.real = -2.0 * math.pi * im
+    f.imag = 2.0 * math.pi * np.mod(re, 1.0)
+    np.exp(f, out=f)
+    if tw.supertrace:
+        f[arr.parity == 1] *= -1.0
     return f
 
 
@@ -193,8 +181,9 @@ def graded_trace(
     truncation at the level cap raises TruncationLoss instead of being
     absorbed silently.
     """
+    factors = _grading_factors(module, tau, tw)
     total = 0.0 + 0.0j
-    for s in module.states:
+    for i, s in enumerate(module.states):
         elem = AlgebraElement.from_state(s)
         for op in reversed(list(ops)):
             elem = op(elem)
@@ -204,12 +193,38 @@ def graded_trace(
             raise TruncationLoss("operator product leaked above the level cap")
         amp = elem.terms.get(s)
         if amp:
-            total += _state_factor(module, tau, tw, s) * amp
-    return total
+            total += factors[i] * amp
+    return complex(total)
 
 
 def partition_function(module: ModuleSpace, tau: ModularPoint, tw: TraceWeights) -> complex:
-    return graded_trace(module, (), tau, tw)
+    """The zero-point trace: the sum of the trace weights."""
+    return complex(_grading_factors(module, tau, tw).sum())
+
+
+def _field_terms(
+    module: ModuleSpace, v: AlgebraElement, w: complex
+) -> list[tuple[ModeOp | None, complex, float]]:
+    """The dressed vertex operator of v at w as (mode, coefficient, level
+    change) terms, None standing for the identity; the modes are those of
+    apply_field.  X(m) changes the level by wt_X - 1 - m."""
+    spec = module.spec
+    scalar, comps = _single_components(spec, v)
+    coeffs: dict[ModeOp | None, complex] = {None: scalar} if scalar else {}
+    mmax = int(math.ceil(module.cap)) + 2
+    for cv, species, flavor, j in comps:
+        _check_mode(ModeOp(species, 0, flavor), spec)
+        wt_x = spec.species_weight(species)
+        for m in range(-mmax, mmax + 1):
+            cc = (-1.0) ** (j - 1) * _general_binom(m + j - 1, j - 1)
+            if cc == 0.0:
+                continue
+            op = ModeOp(species, m, flavor)
+            coeffs[op] = coeffs.get(op, 0.0) + cv * cc * phase(w * (wt_x - m - 1))
+    return [
+        (op, c, 0.0 if op is None else spec.species_weight(op.species) - 1.0 - op.n)
+        for op, c in coeffs.items()
+    ]
 
 
 def npoint_trace(
@@ -221,9 +236,13 @@ def npoint_trace(
     """Direct Fock-space n-point trace.
 
     insertions[0] is leftmost; positions must be nested,
-    0 < Im w_1 < ... < Im w_n < Im tau.  The outermost insertion is
-    contracted against the diagonal directly, which keeps the cost at
-    one full field application per basis state.
+    0 < Im w_1 < ... < Im w_n < Im tau.  The trace is a depth-first sum
+    over mode paths, innermost insertion first.  Each path is carried on
+    all basis states at once as (start index, current index, amplitude)
+    arrays, and drops the states its modes annihilate or push above the
+    level cap.  At the outermost insertion only the modes that bring the
+    path back to its starting level are tried, and a path counts where it
+    ends on its own start state.
     """
     ws = [complex(w) for _, w in insertions]
     ims = [w.imag for w in ws]
@@ -232,24 +251,52 @@ def npoint_trace(
     if ims and not (0.0 < ims[0] and ims[-1] < tau.tau.imag):
         raise DomainViolation("positions must satisfy 0 < Im w < Im tau")
 
+    weights = _grading_factors(module, tau, tw)
+    if not insertions:
+        return complex(weights.sum())
+    layers = [_field_terms(module, v, w) for v, w in insertions]
+    closing: dict[float, list[tuple[ModeOp | None, complex]]] = {}
+    for op, coeff, shift in layers[0]:
+        closing.setdefault(shift, []).append((op, coeff))
+
+    # With three or more insertions, every insertion but the innermost acts
+    # on several branches of the path sum, so its mode images of the whole
+    # module are kept for this call.  With two, each image is used once.
+    every = np.arange(module.dim)
+    innermost = len(layers) - 1
+    kept: dict[ModeOp, tuple[np.ndarray, np.ndarray]] = {}
+
+    def image(depth: int, op: ModeOp, cur: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if innermost < 2 or depth == innermost:
+            return mode_image(op, module, cur)
+        if op not in kept:
+            kept[op] = mode_image(op, module, every)
+        target, c = kept[op]
+        return target[cur], c[cur]
+
     total = 0.0 + 0.0j
-    n = len(insertions)
-    for s in module.states:
-        lvl = state_level(module.spec, s)
-        if n == 0:
-            amp = 1.0 + 0.0j
-        else:
-            elem = AlgebraElement.from_state(s)
-            for v, w in reversed(insertions[1:]):
-                elem = apply_field(module, v, w, elem)
-                if elem.is_zero():
-                    break
-            if elem.is_zero():
+
+    def descend(depth: int, start: np.ndarray, cur: np.ndarray, amp: np.ndarray, level: float):
+        nonlocal total
+        if depth == 0:
+            for op, coeff in closing.get(-level, ()):
+                if op is None:
+                    total += coeff * amp[cur == start].sum()
+                else:
+                    target, c = image(0, op, cur)
+                    total += coeff * np.dot(np.where(target == start, c, 0.0), amp)
+            return
+        for op, coeff, shift in layers[depth]:
+            if op is None:
+                descend(depth - 1, start, cur, coeff * amp, level)
                 continue
-            amp = _field_diagonal(module, insertions[0][0], insertions[0][1], elem, s, lvl)
-        if amp:
-            total += _state_factor(module, tau, tw, s) * amp
-    return total
+            target, c = image(depth, op, cur)
+            keep = c.nonzero()[0]
+            if keep.size:
+                descend(depth - 1, start[keep], target[keep], amp[keep] * (coeff * c[keep]), level + shift)
+
+    descend(innermost, every, every, weights, 0.0)
+    return complex(total)
 
 
 def working_module(

@@ -160,6 +160,15 @@ def test_reduce_rejects_both_z_and_zeta(tmp_path):
     assert r.returncode == 2
 
 
+def test_reduce_rejects_out_of_range_boson_flavor(tmp_path):
+    bad = dict(BASE_REQUEST)
+    bad["insertions"] = [{"state": {"boson": [[3, 1]]}, "z": [0.0, 0.12]}]
+    r = run_cli("reduce", request=bad, tmp_path=tmp_path)
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert json.loads(r.stdout)["error"]["type"] == "DomainViolation"
+
+
 def test_reduce_accepts_zeta_alias(tmp_path):
     import cmath
     import math
