@@ -335,13 +335,15 @@ class FockArrays:
             key = code if rank is None else rank * r + code
             self.code.append(code)
             self.prefix.append(rank)
-            # sorted distinct keys (np.unique would import numpy.ma)
-            srt = np.sort(key)
+            # sorted distinct keys; np.unique would import numpy.ma, and
+            # one argsort serves both this and the final index lookup
+            order = np.argsort(key)
+            srt = key[order]
             srt = srt[np.concatenate(([True], srt[1:] != srt[:-1]))]
             self.sorted_keys.append(srt)
             rank = np.searchsorted(srt, key)
         self.key = key
-        self.order = np.argsort(key)
+        self.order = order
         if spec.kind != "heisenberg":
             # bit k of left_odd[g]: the parity of the fermions left of bit k
             # of group g, groups before g included
