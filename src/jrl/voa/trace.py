@@ -293,7 +293,8 @@ def npoint_trace(
             target, c = image(depth, op, cur)
             keep = c.nonzero()[0]
             if keep.size:
-                descend(depth - 1, start[keep], target[keep], amp[keep] * (coeff * c[keep]), level + shift)
+                amp_next = amp[keep] * (coeff * c[keep])
+                descend(depth - 1, start[keep], target[keep], amp_next, level + shift)
 
     descend(innermost, every, every, weights, 0.0)
     return complex(total)
