@@ -95,6 +95,8 @@ def c2l(z: complex) -> list[float]:
 
 
 def l2c(v) -> complex:
+    if isinstance(v, complex):
+        return v
     if isinstance(v, (int, float)):
         return complex(v)
     if (
@@ -328,7 +330,7 @@ def eval_entry(entry: dict, tr: Truncation) -> dict:
         error_scale = 0.0
     else:
         need("tau")
-        tau = ModularPoint(l2c(entry["tau"]) if not isinstance(entry["tau"], complex) else entry["tau"])
+        tau = ModularPoint(l2c(entry["tau"]))
         params["tau"] = c2l(tau.tau)
         error_scale = tr.error_scale(tau)
         if fn == "E":
@@ -342,7 +344,7 @@ def eval_entry(entry: dict, tr: Truncation) -> dict:
             value = eisenstein_twisted(int(entry["k"]), float(entry["lam"]), tau, tr)
         elif fn == "Etilde":
             need("k", "z")
-            z = l2c(entry["z"]) if not isinstance(entry["z"], complex) else entry["z"]
+            z = l2c(entry["z"])
             params["k"] = int(entry["k"])
             params["z"] = c2l(z)
             value = eisenstein_tilde(int(entry["k"]), z, tau, tr)
@@ -356,7 +358,7 @@ def eval_entry(entry: dict, tr: Truncation) -> dict:
                 params["lam"] = int(entry["lam"])
             elif kind == "tilde":
                 need("z")
-                zc = l2c(entry["z"]) if not isinstance(entry["z"], complex) else entry["z"]
+                zc = l2c(entry["z"])
                 fit_params["z"] = zc
                 params["z"] = c2l(zc)
             elif kind != "plain":
@@ -378,7 +380,7 @@ def eval_entry(entry: dict, tr: Truncation) -> dict:
             }
         else:
             need("w", "m" if fn in ("P", "Ptwist", "Ptilde") else "k")
-            w = l2c(entry["w"]) if not isinstance(entry["w"], complex) else entry["w"]
+            w = l2c(entry["w"])
             # positions are 1-periodic; normalize into the fundamental strip
             w = complex(w.real - math.floor(w.real), w.imag)
             point = AnnulusPoint(w, tau)
@@ -393,14 +395,14 @@ def eval_entry(entry: dict, tr: Truncation) -> dict:
                 value = weier_p_twisted(int(entry["m"]), int(entry["lam"]), point, tr)
             elif fn == "Ptilde":
                 need("z")
-                zc = l2c(entry["z"]) if not isinstance(entry["z"], complex) else entry["z"]
+                zc = l2c(entry["z"])
                 params["m"] = int(entry["m"])
                 params["z"] = c2l(zc)
                 value = weier_p_tilde(int(entry["m"]), point, zc, tr)
             else:  # Pdef
                 need("theta", "phi", "k")
-                theta = l2c(entry["theta"]) if not isinstance(entry["theta"], complex) else entry["theta"]
-                phi = l2c(entry["phi"]) if not isinstance(entry["phi"], complex) else entry["phi"]
+                theta = l2c(entry["theta"])
+                phi = l2c(entry["phi"])
                 twist = TwistPair.from_theta_phi(theta, phi)
                 params["k"] = int(entry["k"])
                 params["theta"] = c2l(twist.theta)

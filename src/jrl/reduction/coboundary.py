@@ -7,8 +7,12 @@ reduction right-hand side driven by the new insertion.  Composing two
 applications gives the chain map whose residual chain_condition_residual
 samples on a seeded grid.
 
+All four variants are read from the one stage table `steps.stage_rows`;
+a stage contribution is one of its rows evaluated on the family, so
+"simplest" is the reduce_step table by construction.
+
 Variants:
-  simplest  branch-selected kernels, exactly the tables used by reduce_step
+  simplest  branch-selected kernels: the rows reduce_step wraps
   main      same table, but only admissible where v[l].v_k = 0 for l >= 1
   shifted   undeformed kernels P_{m+1}, lattice-shifted modes v[m]_h, and
             the mu-shifted zero mode
@@ -18,32 +22,15 @@ Variants:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ..errors import AdmissibilityViolation, DomainViolation, GridDegenerate
-from ..specfun.points import AnnulusPoint, TwistPair, phase
-from ..specfun.weierstrass import (
-    weier_p,
-    weier_p_deformed,
-    weier_p_tilde,
-    weier_p_twisted,
-)
-from ..voa.algebra import AlgebraElement, state_level, zero_mode_operator
-from ..voa.squarebracket import shifted_square_bracket_image, square_bracket_image
-from ..voa.trace import field_callable, graded_trace
-from .steps import _select_branch, reduce_full
-from .types import (
-    NPointRequest,
-    element_weight_charge,
-    npoint_oracle,
-    vacuum_module,
-)
-
-VARIANTS = ("main", "simplest", "shifted", "super")
+from ..errors import DomainViolation, GridDegenerate
+from ..voa.algebra import AlgebraElement
+from .steps import VARIANTS, reduce_full, stage_rows
+from .types import NPointRequest, npoint_oracle
 
 
 @dataclass(frozen=True)
@@ -87,21 +74,6 @@ class StageContribution:
     value: complex
 
 
-def _check_admissible(
-    context: NPointRequest, v_d: AlgebraElement, vs: tuple[AlgebraElement, ...]
-) -> None:
-    vac = vacuum_module(context.spec)
-    wt_d, _, _ = element_weight_charge(context.spec, v_d)
-    for v_k in vs:
-        level_k = max(state_level(context.spec, s) for s in v_k.terms) if not v_k.is_zero() else 0
-        lmax = int(math.ceil(level_k + wt_d + 2))
-        for l in range(1, lmax + 1):
-            if not square_bracket_image(vac, v_d, l, v_k).is_zero():
-                raise AdmissibilityViolation(
-                    f"v[{l}].v_k is nonzero; the plain-coefficient variant does not apply"
-                )
-
-
 def stage_contributions(
     variant: str,
     context: NPointRequest,
@@ -109,123 +81,18 @@ def stage_contributions(
     vs: tuple[AlgebraElement, ...],
     ws: tuple[complex, ...],
 ) -> list[StageContribution]:
-    """Contributions of one coboundary stage at insertion data (vs, ws).
+    """Contributions of one coboundary stage at insertion data (vs, ws):
+    the stage rows of `variant`, each child evaluated on `family`.
 
     vs/ws carry n+1 entries; the last is the distinguished insertion."""
-    if variant not in VARIANTS:
-        raise DomainViolation(f"unknown variant {variant!r}")
-    spec = context.spec
-    tr = context.truncation
-    tau = context.params.tau
-    v_d, w_d = vs[-1], complex(ws[-1])
-    base_vs, base_ws = vs[:-1], tuple(complex(w) for w in ws[:-1])
-    wt_d, ch_d, par_d = element_weight_charge(spec, v_d)
-    phi = phase(complex(wt_d))
-    theta = phase(-ch_d * complex(context.params.z))
-    integer_weight = abs(phi - 1.0) <= 1e-12
-    global_sign = -1.0 if par_d else 1.0
-    vac = vacuum_module(spec)
-
-    if variant == "main":
-        _check_admissible(context, v_d, base_vs)
-
-    force_super = variant == "super"
-    branch = None
-    if not force_super:
-        branch = _select_branch(context, ch_d, integer_weight)
-    elif integer_weight and abs(theta - 1.0) <= 1e-12:
-        # super zero-mode term is gated by delta_{theta,1} delta_{phi,1}
-        branch = _select_branch(context, ch_d, True)
-
+    rows = stage_rows(variant, context, vs, ws)[3]
+    base_vs, base_ws = vs[:-1], tuple(map(complex, ws[:-1]))
     out: list[StageContribution] = []
-
-    # zero-mode term
-    if branch is not None and branch.kind == "lattice" and (not force_super or branch.lam == 0):
-        lam = branch.lam
-        if variant == "shifted":
-            mu = branch.mu
-            pref = global_sign
-            module = context.module()
-            o_op = zero_mode_operator(module, v_d, mu)
-            ops = [o_op] + [field_callable(module, v, w) for v, w in zip(base_vs, base_ws)]
-            val = graded_trace(module, ops, tau, context.params.trace_weights())
-            out.append(StageContribution("zero_trace", 0, 0, "o_mu", pref * val))
-        else:
-            pref = global_sign * phase(-w_d * lam)
-            scalar = None
-            if lam == 0:
-                scalar = 0.0 + 0.0j
-                for state, cv in v_d.terms.items():
-                    if not state.boson and not state.ferm_b and not state.ferm_c:
-                        scalar += cv
-                    elif (
-                        spec.kind == "heisenberg"
-                        and len(state.boson) == 1
-                        and state.boson[0][1] == 1
-                    ):
-                        scalar += cv * context.sector[state.boson[0][0]]
-                    else:
-                        scalar = None
-                        break
-            if scalar is not None:
-                val = scalar * family.evaluate(base_vs, base_ws)
-                out.append(StageContribution("zero_scalar", 0, 0, "one", pref * val))
-            else:
-                module = context.module()
-                o_op = zero_mode_operator(module, v_d, lam)
-                ops = [o_op] + [
-                    field_callable(module, v, w) for v, w in zip(base_vs, base_ws)
-                ]
-                val = graded_trace(module, ops, tau, context.params.trace_weights())
-                out.append(StageContribution("zero_trace", 0, 0, "o_lam", pref * val))
-
-    # kernel terms
-    par_prefix = 0
-    for k in range(1, len(base_vs) + 1):
-        v_k = base_vs[k - 1]
-        w_k = base_ws[k - 1]
-        diff = w_d - w_k
-        point = AnnulusPoint(diff, tau)
-        deformed_here = force_super or (branch is None)
-        if deformed_here:
-            pair_sign = -1.0 if (par_d and par_prefix % 2) else 1.0
-            twist = TwistPair.from_theta_phi(theta, phi)
-        else:
-            pair_sign = 1.0
-            twist = None
-        level_k = max(state_level(spec, s) for s in v_k.terms) if not v_k.is_zero() else 0
-        mmax = int(math.ceil(level_k + wt_d + 2))
-        for m in range(0, mmax + 1):
-            if variant == "shifted":
-                lam_sh = branch.lam if branch is not None else 0
-                img = shifted_square_bracket_image(vac, v_d, m, lam_sh, v_k)
-            else:
-                img = square_bracket_image(vac, v_d, m, v_k)
-            if img.is_zero():
-                continue
-            if variant == "shifted":
-                kernel = weier_p(m + 1, point, tr)
-                name = "weier_p"
-            elif deformed_here:
-                kernel = weier_p_deformed(m + 1, twist, point, tr)
-                name = "weier_p_deformed"
-            elif branch.kind == "lattice":
-                kernel = weier_p_twisted(m + 1, branch.lam, point, tr)
-                name = "weier_p_twisted"
-            else:
-                kernel = weier_p_tilde(m + 1, point, ch_d * complex(context.params.z), tr)
-                name = "weier_p_tilde"
-            mod_vs = base_vs[: k - 1] + (img,) + base_vs[k:]
-            val = family.evaluate(mod_vs, base_ws)
-            out.append(
-                StageContribution(
-                    "kernel", k, m, name, global_sign * pair_sign * kernel * val
-                )
-            )
-        _, _, par_k = element_weight_charge(spec, v_k)
-        par_prefix += par_k
-
-    out.sort(key=lambda c: (c.k, c.m))
+    for kind, k, m, name, _, scale, kernel, img, leaf in rows:
+        if leaf is None:
+            mod_vs = base_vs if k == 0 else base_vs[: k - 1] + (img,) + base_vs[k:]
+            leaf = family.evaluate(mod_vs, base_ws)
+        out.append(StageContribution(kind, k, m, name, scale * kernel * leaf))
     return out
 
 

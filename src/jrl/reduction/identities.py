@@ -7,84 +7,50 @@ Truncation error scale rather than machine epsilon.
 
 from __future__ import annotations
 
-import math
-
 from ..errors import NonIntegerWeight, NotOnLattice
 from ..specfun.points import phase
-from ..voa.algebra import AlgebraElement, state_level, zero_mode_operator
-from ..voa.squarebracket import square_bracket_image
-from ..voa.trace import field_callable, graded_trace
+from ..voa.algebra import AlgebraElement
 from .coboundary import reduction_family, stage_contributions
-from .steps import reduce_full
+from .steps import bracket_images, reduce_full, with_slot, zero_mode_trace
 from .types import (
     BranchSelector,
     NPointRequest,
     element_weight_charge,
     npoint_oracle,
-    vacuum_module,
 )
-
-
-def _mmax_for(spec, v, v_k) -> int:
-    wt, _, _ = element_weight_charge(spec, v)
-    level_k = max(state_level(spec, s) for s in v_k.terms) if not v_k.is_zero() else 0
-    return int(math.ceil(level_k + wt + 2))
-
-
-def _parity_prefix_sign(spec, v, prior: tuple[AlgebraElement, ...]) -> float:
-    _, _, par_v = element_weight_charge(spec, v)
-    if not par_v:
-        return 1.0
-    total = 0
-    for u in prior:
-        _, _, par_u = element_weight_charge(spec, u)
-        total += par_u
-    return -1.0 if total % 2 else 1.0
 
 
 def identity_v0_sum(req: NPointRequest, v: AlgebraElement) -> float:
     """Residual of sum_k (+-) Z((v[0].)_k insertions) = 0 for integer weight v."""
     spec = req.spec
-    wt, _, _ = element_weight_charge(spec, v)
+    wt, _, par = element_weight_charge(spec, v)
     if abs(wt - round(wt.real)) > 1e-9 or abs(wt.imag) > 1e-9:
         raise NonIntegerWeight(f"v[0]-sum needs integer weight, got {wt}")
-    vac = vacuum_module(spec)
     vs = tuple(u for u, _ in req.insertions)
     total = 0.0 + 0.0j
     scale = 0.0
-    for k in range(1, req.n + 1):
-        img = square_bracket_image(vac, v, 0, vs[k - 1])
-        if img.is_zero():
-            continue
-        sign = _parity_prefix_sign(spec, v, vs[: k - 1])
-        mod = req.insertions[: k - 1] + ((img, req.insertions[k - 1][1]),) + req.insertions[k:]
-        term = sign * npoint_oracle(req.with_insertions(mod))
+    for k, _, img, sign in bracket_images(spec, v, wt, par, vs, last=0):
+        term = sign * npoint_oracle(with_slot(req, k, img))
         total += term
         scale += abs(term)
     return abs(total) / max(1.0, scale)
 
 
-def _mode_sweep_sum(req: NPointRequest, v: AlgebraElement, beta: complex) -> tuple[complex, float]:
+def _mode_sweep_sum(
+    req: NPointRequest, v: AlgebraElement, wt: float, par: int, beta: float
+) -> tuple[complex, float]:
     """sum_k sum_m (+-) e(w_k beta) beta^m/m! Z((v[m].)_k ...), with term scale."""
-    spec = req.spec
-    vac = vacuum_module(spec)
     vs = tuple(u for u, _ in req.insertions)
+    facs = [1.0 + 0.0j]  # beta^m / m!
     total = 0.0 + 0.0j
     scale = 0.0
-    for k in range(1, req.n + 1):
-        v_k, w_k = req.insertions[k - 1]
-        sign = _parity_prefix_sign(spec, v, vs[: k - 1])
-        fac = 1.0 + 0.0j
-        for m in range(0, _mmax_for(spec, v, v_k) + 1):
-            if m:
-                fac *= beta / m
-            img = square_bracket_image(vac, v, m, v_k)
-            if img.is_zero():
-                continue
-            mod = req.insertions[: k - 1] + ((img, w_k),) + req.insertions[k:]
-            term = sign * phase(w_k * beta) * fac * npoint_oracle(req.with_insertions(mod))
-            total += term
-            scale += abs(term)
+    for k, m, img, sign in bracket_images(req.spec, v, wt, par, vs):
+        while len(facs) <= m:
+            facs.append(facs[-1] * (beta / len(facs)))
+        w_k = req.insertions[k - 1][1]
+        term = sign * phase(w_k * beta) * facs[m] * npoint_oracle(with_slot(req, k, img))
+        total += term
+        scale += abs(term)
     return total, scale
 
 
@@ -96,16 +62,10 @@ def identity_rec1(req: NPointRequest, v: AlgebraElement, beta: int) -> float:
     """
     if beta < 1:
         raise NotOnLattice("recursion index beta must be a positive integer")
-    spec = req.spec
-    _, ch, _ = element_weight_charge(spec, v)
-    tau = req.params.tau
-    module = req.module()
-    factor = 1.0 - phase(-ch * complex(req.params.z) + beta * tau.tau)
-    ops = [zero_mode_operator(module, v, beta)] + [
-        field_callable(module, u, w) for u, w in req.insertions
-    ]
-    lhs = factor * graded_trace(module, ops, tau, req.params.trace_weights())
-    rhs, _ = _mode_sweep_sum(req, v, float(beta))
+    wt, ch, par = element_weight_charge(req.spec, v)
+    factor = 1.0 - phase(-ch * complex(req.params.z) + beta * req.params.tau.tau)
+    lhs = factor * zero_mode_trace(req, v, beta, req.insertions)
+    rhs, _ = _mode_sweep_sum(req, v, wt, par, float(beta))
     return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
 
@@ -115,12 +75,11 @@ def identity_zero_res(req: NPointRequest, v: AlgebraElement) -> float:
     When alpha z = lambda tau + mu with integer lambda, mu the recursion
     prefactor 1 - zeta^{-alpha} q^lambda vanishes, so the mode sweep on the
     right-hand side must sum to zero on its own."""
-    spec = req.spec
-    _, ch, _ = element_weight_charge(spec, v)
+    wt, ch, par = element_weight_charge(req.spec, v)
     branch = BranchSelector().classify(ch, complex(req.params.z), req.params.tau)
     if branch.kind != "lattice":
         raise NotOnLattice(f"alpha z = {ch * complex(req.params.z)} is not on the lattice")
-    total, scale = _mode_sweep_sum(req, v, float(branch.lam))
+    total, scale = _mode_sweep_sum(req, v, wt, par, float(branch.lam))
     return abs(total) / max(1.0, scale)
 
 

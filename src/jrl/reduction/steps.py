@@ -20,6 +20,13 @@ All right-hand terms additionally carry the global sign (-1)^{p(v_{n+1})}
 fixed by matching direct supertraces of fermion two-point functions; the
 deformed branch keeps its displayed pairwise parity factor on top of it,
 the other two branches have none.
+
+This right-hand side is written down once, as the stage table
+`stage_rows`: `reduce_step` wraps its "simplest" rows with child requests
+and `coboundary.stage_contributions` evaluates the rows of any variant on
+a FunctionFamily.  The negative-mode rule and the identity residuals
+sweep the same square-bracket images (`bracket_images`) and zero modes.
+Every kernel value comes from `specfun_kernel(*kernel_spec(...), tr)`.
 """
 
 from __future__ import annotations
@@ -27,24 +34,30 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..errors import DegenerateInsertion, UnsupportedInsertion
+from ..errors import (
+    AdmissibilityViolation,
+    DegenerateInsertion,
+    DomainViolation,
+    UnsupportedInsertion,
+)
 from ..specfun.points import AnnulusPoint, TwistPair, phase
-from ..specfun.weierstrass import weier_p_deformed, weier_p_tilde, weier_p_twisted
-from ..specfun.eisenstein import eisenstein_tilde, eisenstein_twisted
-from ..voa.algebra import VACUUM, AlgebraElement, state_level, zero_mode_operator
-from ..voa.squarebracket import square_bracket_image
+from ..voa.algebra import VACUUM, AlgebraElement, AlgebraSpec, state_level, zero_mode_operator
+from ..voa.squarebracket import shifted_square_bracket_image, square_bracket_image
 from ..voa.trace import field_callable, graded_trace, partition_function
 from .types import (
     Branch,
     BranchSelector,
     CoefficientLedger,
-    JacobiParams,
     LedgerTerm,
     NPointRequest,
     element_weight_charge,
     npoint_oracle,
+    specfun_kernel,
     vacuum_module,
 )
+
+VARIANTS = ("main", "simplest", "shifted", "super")
+ONE = 1.0 + 0.0j
 
 
 @dataclass(frozen=True)
@@ -77,141 +90,202 @@ def _select_branch(req: NPointRequest, alpha: float, integer_weight: bool) -> Br
     return BranchSelector().classify(alpha, req.params.z, req.params.tau)
 
 
-def _zero_mode_term(
-    req: NPointRequest,
-    v_d: AlgebraElement,
-    w_d: complex,
-    base: tuple[tuple[AlgebraElement, complex], ...],
-    branch: Branch,
-    global_sign: float,
-) -> StepTerm:
-    """Lattice-branch zero-mode term e(-w_d lam) Tr(o_lam(v) Y(...) ...)."""
-    lam = branch.lam
-    pref = global_sign * phase(-complex(w_d) * lam)
-    spec = req.spec
+# ---------------------------------------------------------------------------
+# Stage table
+# ---------------------------------------------------------------------------
 
-    # scalar fast path: lam = 0 with v built from the vacuum and
-    # weight-one boson states, whose zero modes act by sector scalars
-    if lam == 0:
-        scalar = 0.0 + 0.0j
-        ok = True
-        for state, cv in v_d.terms.items():
-            if state == VACUUM:
-                scalar += cv  # o_0(1) = id
-            elif (
-                spec.kind == "heisenberg"
-                and len(state.boson) == 1
-                and state.boson[0][1] == 1
-            ):
-                scalar += cv * req.sector[state.boson[0][0]]
+
+def bracket_images(
+    spec: AlgebraSpec,
+    v: AlgebraElement,
+    wt: float,
+    par: int,
+    elements: tuple[AlgebraElement, ...],
+    first: int = 0,
+    last: int | None = None,
+    shift: int | None = None,
+    strict: bool = False,
+):
+    """Yield (k, m, v[m].x_k, sign) for every nonzero image, k from 1 and m rising.
+
+    m runs from `first` to `last`, by default to ceil(level(x_k) + wt + 2),
+    past which v[m] annihilates x_k; with `shift` the lattice-shifted modes
+    v[m]_shift are used.  sign = (-1)^{par (p(x_1) + ... + p(x_{k-1}))}.
+    The parity of x_k is read after its images when a later sign needs it,
+    and always when `strict`, so that a zero or inhomogeneous x_k raises."""
+    vac = vacuum_module(spec)
+    prefix = 0
+    for k, x in enumerate(elements, start=1):
+        sign = -1.0 if par and prefix % 2 else 1.0
+        if last is None:
+            level = max(state_level(spec, s) for s in x.terms) if not x.is_zero() else 0
+            stop = int(math.ceil(level + wt + 2))
+        else:
+            stop = last
+        for m in range(first, stop + 1):
+            if shift is None:
+                img = square_bracket_image(vac, v, m, x)
             else:
-                ok = False
-                break
-        if ok:
-            child = req.with_insertions(base)
-            return StepTerm(
-                kind="zero_scalar",
-                k=0,
-                m=0,
-                name="one",
-                args={},
-                scale=pref * scalar,
-                kernel=1.0 + 0.0j,
-                child=child,
-            )
+                img = shifted_square_bracket_image(vac, v, m, shift, x)
+            if not img.is_zero():
+                yield k, m, img, sign
+        if strict or (par and k < len(elements)):
+            prefix += element_weight_charge(spec, x)[2]
 
-    # general path: direct graded trace with o_lam(v) inserted leftmost
+
+def with_slot(req: NPointRequest, k: int, img: AlgebraElement) -> NPointRequest:
+    """req with the element in slot k (from 1) replaced by img."""
+    ins = req.insertions
+    return req.with_insertions(ins[: k - 1] + ((img, ins[k - 1][1]),) + ins[k:])
+
+
+def zero_mode_scalar(req: NPointRequest, v: AlgebraElement) -> complex | None:
+    """o_0(v) as a number, when v is built from the vacuum and weight-one
+    bosons, whose zero modes act on the sector by scalars; else None."""
+    scalar = 0.0 + 0.0j
+    for state, cv in v.terms.items():
+        if state == VACUUM:
+            scalar += cv  # o_0(1) = id
+        elif req.spec.kind == "heisenberg" and len(state.boson) == 1 and state.boson[0][1] == 1:
+            scalar += cv * req.sector[state.boson[0][0]]
+        else:
+            return None
+    return scalar
+
+
+def zero_mode_trace(req: NPointRequest, v: AlgebraElement, lam: int, insertions) -> complex:
+    """Tr o_lam(v) Y(x_1, w_1) ... zeta^J q^L over the working module of req."""
     module = req.module()
-    o_op = zero_mode_operator(module, v_d, lam)
-    ops = [o_op] + [field_callable(module, v, w) for v, w in base]
-    value = graded_trace(module, ops, req.params.tau, req.params.trace_weights())
-    return StepTerm(
-        kind="zero_trace",
-        k=0,
-        m=0,
-        name="one",
-        args={},
-        scale=pref,
-        kernel=1.0 + 0.0j,
-        child=None,
-        leaf_value=value,
-    )
+    ops = [zero_mode_operator(module, v, lam)] + [
+        field_callable(module, u, w) for u, w in insertions
+    ]
+    return graded_trace(module, ops, req.params.tau, req.params.trace_weights())
+
+
+def kernel_spec(
+    order: int,
+    tau: complex,
+    w: complex | None = None,
+    branch: Branch | None = None,
+    twist: TwistPair | None = None,
+    az: complex = 0j,
+) -> tuple[str, dict]:
+    """(name, args) of a stage kernel for `specfun_kernel`.
+
+    P_order at separation w, or E_order when w is None: deformed with a
+    twist, plain without a branch, else twisted (lattice lam) or tilde
+    (flux az = alpha z)."""
+    if w is None:
+        name, args = "eisenstein", {"m": order, "tau": tau}
+    else:
+        name, args = "weier_p", {"m": order, "w": w, "tau": tau}
+    if twist is not None:
+        args.update(theta=twist.theta, phi=twist.phi, lam=twist.lam)
+        return name + "_deformed", args
+    if branch is None:
+        return name, args
+    if branch.kind == "lattice":
+        args["lam"] = branch.lam
+        return name + "_twisted", args
+    args["z"] = az
+    return name + "_tilde", args
+
+
+def stage_rows(variant: str, context: NPointRequest, vs: tuple, ws: tuple):
+    """The stage table of one coboundary variant at insertions (vs, ws).
+
+    vs/ws carry n+1 entries, the last distinguished; context supplies the
+    spec, sector, flux, truncation and module (its insertions are not
+    read).  Returns (branch, phi, theta, rows); rows lazily yields
+
+        (kind, k, m, name, args, scale, kernel, image, leaf)
+
+    for the term scale * kernel * child, where child is the ready trace
+    `leaf` when it is not None, else the n-point function at vs[:-1] with
+    slot k replaced by image (k = 0: unchanged).  The `main` admissibility
+    check and the branch selection run before this returns."""
+    if variant not in VARIANTS:
+        raise DomainViolation(f"unknown variant {variant!r}")
+    spec = context.spec
+    tau = context.params.tau
+    v_d, w_d = vs[-1], complex(ws[-1])
+    base_vs, base_ws = vs[:-1], tuple(map(complex, ws[:-1]))
+    wt_d, ch_d, par_d = element_weight_charge(spec, v_d)
+    phi = phase(complex(wt_d))
+    theta = phase(-ch_d * complex(context.params.z))
+    integer_weight = abs(phi - 1.0) <= 1e-12
+    global_sign = -1.0 if par_d else 1.0
+
+    if variant == "main":
+        for _, m, _, _ in bracket_images(spec, v_d, wt_d, 0, base_vs, first=1):
+            raise AdmissibilityViolation(
+                f"v[{m}].v_k is nonzero; the plain-coefficient variant does not apply"
+            )
+    if variant != "super":
+        branch = _select_branch(context, ch_d, integer_weight)
+    elif integer_weight and abs(theta - 1.0) <= 1e-12:
+        # super zero-mode term is gated by delta_{theta,1} delta_{phi,1}
+        branch = _select_branch(context, ch_d, True)
+    else:
+        branch = None
+
+    def rows():
+        lattice = branch is not None and branch.kind == "lattice"
+        if lattice and (variant != "super" or branch.lam == 0):
+            if variant == "shifted":
+                val = zero_mode_trace(context, v_d, branch.mu, zip(base_vs, base_ws))
+                yield "zero_trace", 0, 0, "one", {}, global_sign, ONE, None, val
+            else:
+                pref = global_sign * phase(-w_d * branch.lam)
+                scalar = zero_mode_scalar(context, v_d) if branch.lam == 0 else None
+                if scalar is not None:
+                    yield "zero_scalar", 0, 0, "one", {}, pref * scalar, ONE, None, None
+                else:
+                    val = zero_mode_trace(context, v_d, branch.lam, zip(base_vs, base_ws))
+                    yield "zero_trace", 0, 0, "one", {}, pref, ONE, None, val
+
+        for w_k in base_ws:
+            AnnulusPoint(w_d - w_k, tau)  # validates each separation, also of slots without images
+        deformed = variant == "super" or branch is None
+        twist = TwistPair.from_theta_phi(theta, phi) if deformed and base_vs else None
+        if variant == "shifted":
+            shift, k_branch, k_twist = (branch.lam if branch is not None else 0), None, None
+        else:
+            shift, k_branch, k_twist = None, branch, twist
+        az = ch_d * complex(context.params.z)
+        tr = context.truncation
+        for k, m, img, sign in bracket_images(
+            spec, v_d, wt_d, par_d, base_vs, shift=shift, strict=True
+        ):
+            name, args = kernel_spec(m + 1, tau.tau, w_d - base_ws[k - 1], k_branch, k_twist, az)
+            scale = global_sign * sign if deformed else global_sign
+            yield "kernel", k, m, name, args, scale, specfun_kernel(name, args, tr), img, None
+
+    return branch, phi, theta, rows()
+
+
+# ---------------------------------------------------------------------------
+# Reduction
+# ---------------------------------------------------------------------------
 
 
 def reduce_step(req: NPointRequest) -> StepResult:
-    """One reduction stage acting on the last insertion."""
+    """One reduction stage acting on the last insertion: the "simplest"
+    stage rows, each with its child request."""
     if req.n < 1:
         raise UnsupportedInsertion("nothing to reduce in a zero-point request")
-    v_d, w_d = req.insertions[-1]
     base = req.insertions[:-1]
-    spec = req.spec
-    wt_d, ch_d, par_d = element_weight_charge(spec, v_d)
-    phi = phase(complex(wt_d))
-    theta = phase(-ch_d * complex(req.params.z))
-    integer_weight = abs(phi - 1.0) <= 1e-12
-    branch = _select_branch(req, ch_d, integer_weight)
-    global_sign = -1.0 if par_d else 1.0
-    tau = req.params.tau
-    tr = req.truncation
-    vac = vacuum_module(spec)
-
+    vs, ws = zip(*req.insertions)
+    branch, phi, theta, rows = stage_rows("simplest", req, vs, ws)
     terms: list[StepTerm] = []
-    if branch is not None and branch.kind == "lattice":
-        terms.append(_zero_mode_term(req, v_d, w_d, base, branch, global_sign))
-
-    par_prefix = 0
-    for k, (v_k, w_k) in enumerate(base, start=1):
-        diff = complex(w_d) - complex(w_k)
-        point = AnnulusPoint(diff, tau)
-        if branch is None:
-            # deformed branch keeps its displayed pairwise parity factor
-            pair_sign = -1.0 if (par_d and par_prefix % 2) else 1.0
-            twist = TwistPair.from_theta_phi(theta, phi)
+    for kind, k, m, name, args, scale, kernel, img, leaf in rows:
+        if leaf is not None:
+            child = None
+        elif k == 0:
+            child = req.with_insertions(base)
         else:
-            pair_sign = 1.0
-            twist = None
-        level_k = max(state_level(spec, s) for s in v_k.terms) if not v_k.is_zero() else 0
-        mmax = int(math.ceil(level_k + wt_d + 2))
-        for m in range(0, mmax + 1):
-            img = square_bracket_image(vac, v_d, m, v_k)
-            if img.is_zero():
-                continue
-            if branch is None:
-                name = "weier_p_deformed"
-                args = {
-                    "m": m + 1,
-                    "w": diff,
-                    "tau": tau.tau,
-                    "theta": twist.theta,
-                    "phi": twist.phi,
-                    "lam": twist.lam,
-                }
-                kernel = weier_p_deformed(m + 1, twist, point, tr)
-            elif branch.kind == "lattice":
-                name = "weier_p_twisted"
-                args = {"m": m + 1, "w": diff, "tau": tau.tau, "lam": branch.lam}
-                kernel = weier_p_twisted(m + 1, branch.lam, point, tr)
-            else:
-                name = "weier_p_tilde"
-                args = {"m": m + 1, "w": diff, "tau": tau.tau, "z": ch_d * complex(req.params.z)}
-                kernel = weier_p_tilde(m + 1, point, ch_d * complex(req.params.z), tr)
-            child_insertions = base[:k - 1] + ((img, w_k),) + base[k:]
-            terms.append(
-                StepTerm(
-                    kind="kernel",
-                    k=k,
-                    m=m,
-                    name=name,
-                    args=args,
-                    scale=global_sign * pair_sign,
-                    kernel=kernel,
-                    child=req.with_insertions(child_insertions),
-                )
-            )
-        _, _, par_k = element_weight_charge(spec, v_k)
-        par_prefix += par_k
-
-    terms.sort(key=lambda t: (t.k, t.m))
+            child = req.with_insertions(base[: k - 1] + ((img, base[k - 1][1]),) + base[k:])
+        terms.append(StepTerm(kind, k, m, name, args, scale, kernel, child, leaf))
     return StepResult(branch=branch, phi=phi, theta=theta, terms=tuple(terms))
 
 
@@ -289,85 +363,37 @@ def reduce_negative_mode(
         raise UnsupportedInsertion("negative-mode rules need an integer-weight insertion")
     tau = req.params.tau
     tr = req.truncation
-    vac = vacuum_module(spec)
     w_1 = complex(req.insertions[0][1])
+    az = ch_v * complex(req.params.z)
 
     terms: list[LedgerTerm] = []
     total = 0.0 + 0.0j
 
     if branch.kind == "lattice":
-        lam = branch.lam
-        head_scale = (-1.0) ** (l + 1) * lam ** (l - 1) / math.factorial(l - 1)
+        head_scale = (-1.0) ** (l + 1) * branch.lam ** (l - 1) / math.factorial(l - 1)
         if head_scale != 0.0:
-            module = req.module()
-            o_op = zero_mode_operator(module, v, lam)
-            ops = [o_op] + [field_callable(module, vk, wk) for vk, wk in req.insertions]
-            head = graded_trace(module, ops, tau, req.params.trace_weights())
+            head = zero_mode_trace(req, v, branch.lam, req.insertions)
             total += head_scale * head
             terms.append(
-                LedgerTerm(
-                    kind="head_trace",
-                    k=0,
-                    m=0,
-                    name="one",
-                    args={},
-                    scale=complex(head_scale),
-                    kernel=1.0 + 0.0j,
-                    child=None,
-                    child_value=head,
-                )
+                LedgerTerm("head_trace", 0, 0, "one", {}, complex(head_scale), ONE, None, head)
             )
 
-    for k, (v_k, w_k) in enumerate(req.insertions, start=1):
-        level_k = max(state_level(spec, s) for s in v_k.terms) if not v_k.is_zero() else 0
-        mmax = int(math.ceil(level_k + wt_v + 2))
-        for m in range(0, mmax + 1):
-            img = square_bracket_image(vac, v, m, v_k)
-            if img.is_zero():
-                continue
-            binom = math.comb(m + l - 1, m)
-            if k == 1:
-                scale = (-1.0) ** (m + 1) * binom
-                if branch.kind == "lattice":
-                    name = "eisenstein_twisted"
-                    args = {"m": m + l, "tau": tau.tau, "lam": branch.lam}
-                    kernel = eisenstein_twisted(m + l, branch.lam, tau, tr)
-                else:
-                    name = "eisenstein_tilde"
-                    args = {"m": m + l, "tau": tau.tau, "z": ch_v * complex(req.params.z)}
-                    kernel = eisenstein_tilde(m + l, ch_v * complex(req.params.z), tau, tr)
-            else:
-                scale = (-1.0) ** (l + 1) * binom
-                diff = w_1 - complex(w_k)
-                point = AnnulusPoint(diff, tau)
-                if branch.kind == "lattice":
-                    name = "weier_p_twisted"
-                    args = {"m": m + l, "w": diff, "tau": tau.tau, "lam": branch.lam}
-                    kernel = weier_p_twisted(m + l, branch.lam, point, tr)
-                else:
-                    name = "weier_p_tilde"
-                    args = {"m": m + l, "w": diff, "tau": tau.tau, "z": ch_v * complex(req.params.z)}
-                    kernel = weier_p_tilde(m + l, point, ch_v * complex(req.params.z), tr)
-            child_insertions = (
-                req.insertions[: k - 1] + ((img, w_k),) + req.insertions[k:]
+    vs = tuple(u for u, _ in req.insertions)
+    for k, m, img, _ in bracket_images(spec, v, wt_v, 0, vs):
+        binom = math.comb(m + l - 1, m)
+        if k == 1:  # E_{m+l}
+            scale, w = (-1.0) ** (m + 1) * binom, None
+        else:
+            scale, w = (-1.0) ** (l + 1) * binom, w_1 - complex(req.insertions[k - 1][1])
+        name, args = kernel_spec(m + l, tau.tau, w, branch, az=az)
+        kernel = specfun_kernel(name, args, tr)
+        child_value = npoint_oracle(with_slot(req, k, img))
+        total += scale * kernel * child_value
+        terms.append(
+            LedgerTerm(
+                "eisen" if k == 1 else "kernel",
+                k, m, name, args, complex(scale), kernel, None, child_value,
             )
-            child = req.with_insertions(child_insertions)
-            child_value = npoint_oracle(child)
-            contrib = scale * kernel * child_value
-            total += contrib
-            terms.append(
-                LedgerTerm(
-                    kind="eisen" if k == 1 else "kernel",
-                    k=k,
-                    m=m,
-                    name=name,
-                    args=args,
-                    scale=complex(scale),
-                    kernel=kernel,
-                    child=None,
-                    child_value=child_value,
-                )
-            )
+        )
 
-    terms.sort(key=lambda t: (t.k, t.m))
     return total, CoefficientLedger(n=req.n, value=total, terms=tuple(terms), is_leaf=False)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Callable
 
 from ..errors import BranchUnresolved, DomainViolation, UnsupportedInsertion
 from ..specfun.eisenstein import eisenstein_tilde, eisenstein_twisted
@@ -18,7 +17,6 @@ from ..specfun.weierstrass import (
 )
 from ..voa.algebra import (
     MAX_LEVEL_CAP,
-    VACUUM,
     AlgebraElement,
     AlgebraSpec,
     ModuleSpace,
@@ -118,6 +116,11 @@ class NPointRequest:
                     raise DomainViolation(
                         f"boson flavor in {state.boson} is out of range for rank {self.spec.rank}"
                     )
+        for v, _ in self.insertions:
+            for state in v.terms:
+                labels = [l for _, l in state.boson] + list(state.ferm_b + state.ferm_c)
+                if labels and min(labels) < 1:
+                    raise DomainViolation(f"creator labels must be at least 1, got {state}")
         ws = [complex(w) for _, w in self.insertions]
         for i in range(len(ws)):
             for j in range(i + 1, len(ws)):
@@ -182,10 +185,10 @@ def element_weight_charge(spec: AlgebraSpec, v: AlgebraElement) -> tuple[float, 
 
 
 def specfun_kernel(name: str, args: dict, tr: Truncation) -> complex:
-    """Re-evaluate a named coefficient from its stored arguments."""
-    tau = ModularPoint(complex(*args["tau"]) if isinstance(args["tau"], list) else args["tau"])
+    """Evaluate a named kernel from its arguments: the one kernel dispatch."""
     if name == "one":
         return 1.0 + 0.0j
+    tau = ModularPoint(complex(*args["tau"]) if isinstance(args["tau"], list) else args["tau"])
     if name == "weier_p":
         return weier_p(args["m"], AnnulusPoint(args["w"], tau), tr)
     if name == "weier_p_twisted":
@@ -244,7 +247,7 @@ class CoefficientLedger:
             return self.value
         total = 0.0 + 0.0j
         for t in self.terms:
-            kernel = specfun_kernel(t.name, t.args, tr) if t.name != "one" else 1.0 + 0.0j
+            kernel = specfun_kernel(t.name, t.args, tr)
             child_value = t.child.reevaluate(tr) if t.child is not None else t.child_value
             total += t.scale * kernel * child_value
         return total

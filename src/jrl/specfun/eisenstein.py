@@ -12,7 +12,6 @@ results are independent of any caller-side parallelism.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 from ..errors import DomainViolation, PoleAtTrivialZ

@@ -169,6 +169,26 @@ def test_reduce_rejects_out_of_range_boson_flavor(tmp_path):
     assert json.loads(r.stdout)["error"]["type"] == "DomainViolation"
 
 
+@pytest.mark.parametrize(
+    "algebra, sector, state",
+    [
+        ({"kind": "heisenberg", "rank": 1}, [0.6], {"boson": [[0, 0]]}),
+        ({"kind": "complex_fermion"}, [], {"ferm_b": [0]}),
+    ],
+    ids=["boson_level_zero", "fermion_label_zero"],
+)
+def test_reduce_rejects_creator_label_below_one(tmp_path, algebra, sector, state):
+    # these used to reach the reduction and fail the oracle check (exit 1)
+    bad = dict(BASE_REQUEST)
+    bad["algebra"] = algebra
+    bad["sector"] = sector
+    bad["insertions"] = [{"state": state, "z": [0.0, 0.12]}]
+    r = run_cli("reduce", "--oracle", request=bad, tmp_path=tmp_path)
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert json.loads(r.stdout)["error"]["type"] == "DomainViolation"
+
+
 def test_reduce_accepts_zeta_alias(tmp_path):
     import cmath
     import math

@@ -214,3 +214,19 @@ def test_kz_consistency_and_sensitivity():
     assert clean < 1e-8
     perturbed = kz_residual(base, J, 0.31j, coefficient_scale=1.01)
     assert perturbed > 1e-3
+
+
+def test_stage_values_are_reduce_step_terms_exactly():
+    # two currents on Heisenberg: a zero_scalar row plus twisted-kernel rows
+    base = heis_base(n=2)
+    J = current_state(HEIS)
+    vs = (J, J, J)
+    ws = (0.12j, 0.31j, 0.42j)
+    contribs = stage_contributions("simplest", base, reduction_family(base), vs, ws)
+    step = reduce_step(base.with_insertions(base.insertions + ((J, 0.42j),)))
+    assert [t.kind for t in step.terms][:1] == ["zero_scalar"]
+    assert [(t.kind, t.k, t.m, t.name) for t in step.terms] == [
+        (c.kind, c.k, c.m, c.name) for c in contribs
+    ]
+    for t, c in zip(step.terms, contribs):
+        assert c.value == t.scale * t.kernel * reduce_full(t.child)[0]

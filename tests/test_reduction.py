@@ -6,11 +6,22 @@ import oracles
 from jrl.errors import (
     AdmissibilityViolation,
     DegenerateInsertion,
+    DomainViolation,
     NonIntegerWeight,
     NotOnLattice,
     UnsupportedInsertion,
 )
-from jrl.specfun import ModularPoint, Truncation, eisenstein, eisenstein_tilde
+from jrl.specfun import (
+    AnnulusPoint,
+    ModularPoint,
+    Truncation,
+    TwistPair,
+    eisenstein,
+    eisenstein_tilde,
+    eisenstein_twisted,
+    weier_p,
+    weier_p_deformed,
+)
 from jrl.voa import AlgebraSpec, current_state, oscillator_state
 from jrl.reduction import (
     JacobiParams,
@@ -22,6 +33,7 @@ from jrl.reduction import (
     reduce_full,
     reduce_negative_mode,
     reduce_step,
+    specfun_kernel,
 )
 
 TAU = ModularPoint(0.5j)
@@ -237,3 +249,52 @@ def test_reduce_step_subset_of_full():
         child = npoint_oracle(t.child) if t.child is not None else t.leaf_value
         total += t.scale * t.kernel * child
     assert abs(total - val) / abs(val) < 1e-8
+
+
+@pytest.mark.parametrize(
+    "req",
+    [
+        cferm_request(cap=6.0),  # generic flux: tilde kernels
+        heis_request(n=2, cap=6.0),  # lam = 0: twisted kernels and a zero-mode scalar
+        NPointRequest(
+            spec=HEIS,
+            sector=(0.6,),
+            cap=6.0,
+            insertions=heis_request(n=2).insertions,
+            params=JacobiParams(z=Z0, tau=TAU, shift=(1, 0)),
+        ),  # lattice shift: twisted kernels and a zero-mode trace
+        NPointRequest(
+            spec=RFERM,
+            sector=(),
+            cap=5.5,
+            insertions=(
+                (oscillator_state("b", 1), 0.12j),
+                (oscillator_state("b", 1), 0.31j),
+            ),
+            params=JacobiParams(z=Z0, tau=TAU, supertrace=True),
+        ),  # half-weight fermions: deformed kernels
+    ],
+    ids=["generic", "lattice_lam0", "lattice_shift", "deformed"],
+)
+def test_ledger_reevaluates_to_its_value_exactly(req):
+    value, ledger = reduce_full(req)
+    names = {t.name for node in ledger.walk() for t in node.terms}
+    assert names - {"one"}
+    assert ledger.reevaluate(req.truncation) == value
+
+
+def test_specfun_kernel_dispatch():
+    tr = Truncation(n_q=12, n_mode=32, tol=1e-12)
+    assert specfun_kernel("one", {}, tr) == 1.0 + 0.0j
+    point = AnnulusPoint(0.1 + 0.2j, TAU)
+    assert specfun_kernel("weier_p", {"m": 2, "w": 0.1 + 0.2j, "tau": [0.0, 0.5]}, tr) == weier_p(
+        2, point, tr
+    )
+    tw = TwistPair.from_theta_phi(1.0 + 0.0j, -1.0 + 0.0j)
+    args = {"m": 1, "w": 0.1 + 0.2j, "tau": 0.5j, "theta": tw.theta, "phi": tw.phi, "lam": tw.lam}
+    assert specfun_kernel("weier_p_deformed", args, tr) == weier_p_deformed(1, tw, point, tr)
+    assert specfun_kernel(
+        "eisenstein_twisted", {"m": 2, "tau": 0.5j, "lam": 1}, tr
+    ) == eisenstein_twisted(2, 1, TAU, tr)
+    with pytest.raises(DomainViolation):
+        specfun_kernel("weier_q", {"tau": 0.5j}, tr)
