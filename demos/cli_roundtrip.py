@@ -1,11 +1,12 @@
 """Round-trip the command-line interface: request file in, report out.
 
 Writes a reduce request to a temp file, runs `jrl reduce` with the oracle
-cross-check enabled, and prints the machine-readable report.  Exit code 0
-means every check passed at the requested tolerance.
+cross-check enabled, removes the temp file, and prints the machine-readable
+report.  Exit code 0 means every check passed at the requested tolerance.
 """
 
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -28,11 +29,14 @@ def main():
         json.dump(REQUEST, fh)
         path = fh.name
 
-    proc = subprocess.run(
-        [sys.executable, "-m", "jrl", "reduce", "--request", path, "--oracle"],
-        capture_output=True,
-        text=True,
-    )
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "jrl", "reduce", "--request", path, "--oracle"],
+            capture_output=True,
+            text=True,
+        )
+    finally:
+        os.remove(path)
     print(f"exit code: {proc.returncode}")
     report = json.loads(proc.stdout)
     for check in report["checks"]:

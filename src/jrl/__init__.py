@@ -20,7 +20,6 @@ from .errors import (
     NotOnLattice,
     PoleAtTrivialZ,
     PoleHit,
-    TruncationLoss,
     UnsupportedInsertion,
 )
 

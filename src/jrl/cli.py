@@ -15,7 +15,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -119,6 +118,34 @@ def _check_fields(obj: dict, allowed: set[str], required: set[str], where: str) 
         raise UsageError(f"missing fields in {where}: {sorted(missing)}")
 
 
+def _get(obj: dict, key: str, convert, where: str, default=None):
+    """convert(obj[key]), or convert(default) when key is absent; a
+    malformed value is a UsageError naming its field."""
+    value = obj.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError, IndexError) as exc:
+        raise UsageError(f"malformed {where}.{key}: {value!r}") from exc
+
+
+def _floats(value) -> tuple[float, ...]:
+    return tuple(float(x) for x in value)
+
+
+def _shift_pair(value) -> tuple[int, int] | None:
+    return None if value is None else (int(value[0]), int(value[1]))
+
+
+def _truncation_from_json(t, tr: Truncation, where: str) -> Truncation:
+    """A truncation document over the defaults tr."""
+    _check_fields(t, {"n_q", "n_mode", "tol"}, set(), where)
+    return Truncation(
+        n_q=_get(t, "n_q", int, where, tr.n_q),
+        n_mode=_get(t, "n_mode", int, where, tr.n_mode),
+        tol=_get(t, "tol", float, where, tr.tol),
+    )
+
+
 def dump_report(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
@@ -142,11 +169,13 @@ def element_from_json(spec: AlgebraSpec, desc, where: str) -> AlgebraElement:
     _check_fields(
         desc, {"boson", "ferm_b", "ferm_c"}, set(), f"{where}.state"
     )
-    boson = tuple(tuple(p) for p in desc.get("boson", ()))
-    ferm_b = tuple(desc.get("ferm_b", ()))
-    ferm_c = tuple(desc.get("ferm_c", ()))
+    pairs = _get(desc, "boson", lambda ps: tuple((f, l) for f, l in ps), f"{where}.state", ())
+    ferm_b = _get(desc, "ferm_b", tuple, f"{where}.state", ())
+    ferm_c = _get(desc, "ferm_c", tuple, f"{where}.state", ())
+    if not all(isinstance(x, (int, float)) for x in sum(pairs, ()) + ferm_b + ferm_c):
+        raise UsageError(f"malformed {where}.state: {desc!r}")
     return AlgebraElement.from_state(
-        BasisState(boson=boson, ferm_b=ferm_b, ferm_c=ferm_c)
+        BasisState(boson=pairs, ferm_b=ferm_b, ferm_c=ferm_c)
     )
 
 
@@ -166,12 +195,12 @@ def request_from_json(doc: dict) -> NPointRequest:
     )
     spec = AlgebraSpec(
         kind=alg["kind"],
-        rank=int(alg.get("rank", 1)),
-        current=tuple(float(x) for x in alg["current"]) if "current" in alg else None,
+        rank=_get(alg, "rank", int, "request.algebra", 1),
+        current=_get(alg, "current", _floats, "request.algebra") if "current" in alg else None,
         grading=alg.get("grading", "natural"),
     )
 
-    sector = tuple(float(x) for x in doc.get("sector", ()))
+    sector = _get(doc, "sector", _floats, "request", ())
 
     par = doc["params"]
     _check_fields(
@@ -189,18 +218,17 @@ def request_from_json(doc: dict) -> NPointRequest:
         if zeta == 0:
             raise UsageError("zeta must be nonzero")
         z = cmath.log(zeta) / (2j * math.pi)
-    shift = par.get("shift")
     params = JacobiParams(
         z=z,
         tau=ModularPoint(l2c(par["tau"])),
         supertrace=bool(par.get("supertrace", False)),
         include_c_shift=bool(par.get("include_c_shift", False)),
-        charge_weight_shift=float(par.get("charge_weight_shift", 0.0)),
-        shift=(int(shift[0]), int(shift[1])) if shift is not None else None,
+        charge_weight_shift=_get(par, "charge_weight_shift", float, "request.params", 0.0),
+        shift=_get(par, "shift", _shift_pair, "request.params"),
     )
 
     insertions = []
-    for i, ins in enumerate(doc["insertions"]):
+    for i, ins in enumerate(_get(doc, "insertions", list, "request")):
         where = f"request.insertions[{i}]"
         _check_fields(ins, {"state", "coefficient", "z"}, {"state", "z"}, where)
         v = element_from_json(spec, ins["state"], where)
@@ -211,18 +239,12 @@ def request_from_json(doc: dict) -> NPointRequest:
 
     tr = default_truncation()
     if "truncation" in doc:
-        t = doc["truncation"]
-        _check_fields(t, {"n_q", "n_mode", "tol"}, set(), "request.truncation")
-        tr = Truncation(
-            n_q=int(t.get("n_q", tr.n_q)),
-            n_mode=int(t.get("n_mode", tr.n_mode)),
-            tol=float(t.get("tol", tr.tol)),
-        )
+        tr = _truncation_from_json(doc["truncation"], tr, "request.truncation")
 
     return NPointRequest(
         spec=spec,
         sector=sector,
-        cap=float(doc["cap"]),
+        cap=_get(doc, "cap", float, "request"),
         insertions=tuple(insertions),
         params=params,
         truncation=tr,
@@ -431,14 +453,8 @@ def cmd_eval(args) -> int:
         if doc["schema"] != SCHEMA:
             raise UsageError(f"unsupported schema {doc['schema']!r}")
         if "truncation" in doc:
-            t = doc["truncation"]
-            _check_fields(t, {"n_q", "n_mode", "tol"}, set(), "eval request.truncation")
-            tr = Truncation(
-                n_q=int(t.get("n_q", tr.n_q)),
-                n_mode=int(t.get("n_mode", tr.n_mode)),
-                tol=float(t.get("tol", tr.tol)),
-            )
-        entries = list(doc["evals"])
+            tr = _truncation_from_json(doc["truncation"], tr, "eval request.truncation")
+        entries = _get(doc, "evals", list, "eval request")
     else:
         if args.fn is None:
             raise UsageError("eval needs --fn or --request")
@@ -750,18 +766,18 @@ def _chk_mode_commutator(tr: Truncation) -> float:
     return r
 
 
-def _heis_request(cap: float = 8.0, n: int = 1) -> NPointRequest:
+def _heis_request(tr: Truncation, cap: float = 8.0, n: int = 1) -> NPointRequest:
     spec = AlgebraSpec(kind="heisenberg", rank=1)
     params = JacobiParams(z=0.23 - 0.11j, tau=ModularPoint(0.5j))
     ws = [0.12j, 0.31j][:n]
     ins = tuple((current_state(spec), w) for w in ws)
     return NPointRequest(
-        spec=spec, sector=(0.6,), cap=cap, insertions=ins, params=params
+        spec=spec, sector=(0.6,), cap=cap, insertions=ins, params=params, truncation=tr
     )
 
 
 def _chk_one_point_current(tr: Truncation) -> float:
-    req = _heis_request()
+    req = _heis_request(tr)
     value, _ = reduce_full(req)
     ref = npoint_oracle(req)
     return abs(value - ref) / max(1.0, abs(ref))
@@ -779,12 +795,13 @@ def _chk_v0_sum(tr: Truncation) -> float:
             (oscillator_state("c", 1), 0.31j),
         ),
         params=params,
+        truncation=tr,
     )
     return identity_v0_sum(req, current_state(spec))
 
 
 def _chk_rec1(tr: Truncation) -> float:
-    return identity_rec1(_heis_request(), current_state(AlgebraSpec(kind="heisenberg", rank=1)), 1)
+    return identity_rec1(_heis_request(tr), current_state(AlgebraSpec(kind="heisenberg", rank=1)), 1)
 
 
 def _chk_zero_res(tr: Truncation) -> float:
@@ -797,6 +814,7 @@ def _chk_zero_res(tr: Truncation) -> float:
         cap=10.0,
         insertions=((oscillator_state("c", 1), 0.2j),),
         params=params,
+        truncation=tr,
     )
     return identity_zero_res(req, oscillator_state("b", 1))
 
@@ -810,6 +828,7 @@ def _chk_chain(tr: Truncation) -> float:
         cap=6.0,
         insertions=((oscillator_state("a", 1, 0), 0.11j),),
         params=params,
+        truncation=tr,
     )
     return chain_condition_residual(
         "simplest",
@@ -823,7 +842,7 @@ def _chk_chain(tr: Truncation) -> float:
 
 def _chk_kz(tr: Truncation) -> float:
     spec = AlgebraSpec(kind="heisenberg", rank=1)
-    base = _heis_request()
+    base = _heis_request(tr)
     return kz_residual(base, current_state(spec), 0.31j)
 
 
@@ -859,13 +878,7 @@ def cmd_verify(args) -> int:
     tr = _truncation_from_args(args)
 
     t0 = time.monotonic()
-    workers = max(1, args.workers)
-    if workers == 1:
-        residuals = [c.fn(tr) for c in selected]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(c.fn, tr) for c in selected]
-            residuals = [f.result() for f in futures]
+    residuals = [c.fn(tr) for c in selected]
 
     checks = []
     failed = 0
@@ -946,7 +959,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("--suite", default="all", choices=("specfun", "voa", "reduction", "all"))
     p_ver.add_argument("--tol", type=float, default=None)
-    p_ver.add_argument("--workers", type=int, default=1)
     p_ver.add_argument("--nq", type=int)
     p_ver.add_argument("--nmode", type=int)
     p_ver.add_argument("--timing", action="store_true")

@@ -33,11 +33,6 @@ class CapTooLarge(JrlError):
     """Requested basis enumeration exceeds the configured state budget."""
 
 
-class TruncationLoss(JrlError):
-    """A mode application pushed weight above the level cap and the caller
-    asked for strict accounting."""
-
-
 class BranchUnresolved(JrlError):
     """Flux parameter sits near the lattice-detection band without integral
     coordinates; refusing to guess the branch."""

@@ -41,9 +41,9 @@ from ..errors import (
     UnsupportedInsertion,
 )
 from ..specfun.points import AnnulusPoint, TwistPair, phase
-from ..voa.algebra import VACUUM, AlgebraElement, AlgebraSpec, state_level, zero_mode_operator
+from ..voa.algebra import VACUUM, AlgebraElement, AlgebraSpec, state_level
 from ..voa.squarebracket import shifted_square_bracket_image, square_bracket_image
-from ..voa.trace import field_callable, graded_trace, partition_function
+from ..voa.trace import graded_trace, partition_function
 from .types import (
     Branch,
     BranchSelector,
@@ -155,11 +155,8 @@ def zero_mode_scalar(req: NPointRequest, v: AlgebraElement) -> complex | None:
 
 def zero_mode_trace(req: NPointRequest, v: AlgebraElement, lam: int, insertions) -> complex:
     """Tr o_lam(v) Y(x_1, w_1) ... zeta^J q^L over the working module of req."""
-    module = req.module()
-    ops = [zero_mode_operator(module, v, lam)] + [
-        field_callable(module, u, w) for u, w in insertions
-    ]
-    return graded_trace(module, ops, req.params.tau, req.params.trace_weights())
+    tw = req.params.trace_weights()
+    return graded_trace(req.module(), list(insertions), req.params.tau, tw, zero_mode=(v, lam))
 
 
 def kernel_spec(

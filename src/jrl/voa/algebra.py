@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -74,10 +74,6 @@ class AlgebraSpec:
         if self.kind == "real_fermion":
             return 0.5
         return 1.0
-
-    @property
-    def parity_support(self) -> bool:
-        return self.kind != "heisenberg"
 
     def current_coefficients(self) -> tuple[float, ...]:
         if self.kind != "heisenberg":
@@ -192,9 +188,6 @@ class AlgebraElement:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def iter_sorted(self) -> Iterable[tuple[BasisState, complex]]:
-        return sorted(self.terms.items(), key=lambda kv: kv[0])
 
     def norm1(self) -> float:
         return sum(abs(v) for v in self.terms.values())
@@ -670,17 +663,20 @@ def single_mode_of_state(
     return c, ModeOp(species=species, n=int(round(m)), flavor=flavor)
 
 
-def zero_mode_operator(
+def zero_mode_terms(
     module: ModuleSpace, v: AlgebraElement, lam: int = 0
-) -> Callable[[AlgebraElement], AlgebraElement]:
-    """Lattice-shifted zero mode o_lam(v) = v(wt(v) - 1 + lam) as an operator.
+) -> list[tuple[complex, tuple[ModeOp, ...]]]:
+    """Lattice-shifted zero mode o_lam(v) = v(wt(v) - 1 + lam) as a sum of
+    mode monomials coeff * modes, modes[0] acting first.
 
     Components of non-integer weight contribute the zero operator.  Supported
     state shapes: the vacuum, single-oscillator states X(-j)vac, boson pairs
-    a^i(-1)a^j(-1)vac, and the fermion bilinear b(-1)c(-1)vac.
+    a^i(-1)a^j(-1)vac, and the fermion bilinear b(-1)c(-1)vac.  In the
+    quadratic shapes creators (negative labels) act last; the bilinear's
+    b(k)c(m) with k >= 0 > m is normal-ordered as -c(m)b(k).
     """
     spec = module.spec
-    actions: list[Callable[[AlgebraElement], AlgebraElement]] = []
+    terms: list[tuple[complex, tuple[ModeOp, ...]]] = []
 
     for state, coeff in sorted(v.terms.items()):
         wt = state_level(spec, state)
@@ -690,82 +686,60 @@ def zero_mode_operator(
 
         if state == VACUUM:
             if n_mode == -1:
-                actions.append(lambda x, c=coeff: x.scaled(c))
+                terms.append((coeff, ()))
             continue
 
         nosc = len(state.boson) + len(state.ferm_b) + len(state.ferm_c)
         if nosc == 1:
             if state.boson:
-                f, j = state.boson[0]
-                species = "a"
+                (f, j), species = state.boson[0], "a"
             elif state.ferm_b:
-                f, j = 0, state.ferm_b[0]
-                species = "b"
+                f, j, species = 0, state.ferm_b[0], "b"
             else:
-                f, j = 0, state.ferm_c[0]
-                species = "c"
+                f, j, species = 0, state.ferm_c[0], "c"
             res = single_mode_of_state(spec, species, f, j, n_mode)
-            if res is None:
-                continue
-            cmode, mode = res
-            actions.append(
-                lambda x, c=coeff * cmode, m=mode: apply_mode(m, x, module).scaled(c)
-            )
+            if res is not None:
+                terms.append((coeff * res[0], (res[1],)))
             continue
 
         if nosc == 2 and len(state.boson) == 2 and all(l == 1 for _, l in state.boson):
-            f1 = state.boson[0][0]
-            f2 = state.boson[1][0]
+            (f1, _), (f2, _) = state.boson
             kmax = int(module.cap) + abs(lam) + 1
-
-            def pair_action(x: AlgebraElement, c=coeff, f1=f1, f2=f2, kmax=kmax) -> AlgebraElement:
-                total = AlgebraElement.zero()
-                for k in range(-kmax, kmax + 1):
-                    m2 = lam - k
-                    op1 = ModeOp("a", k, f1)
-                    op2 = ModeOp("a", m2, f2)
-                    # creators (negative labels) act last
-                    first, last = (op2, op1) if k < 0 else (op1, op2)
-                    total = total.plus(apply_mode(last, apply_mode(first, x, module), module))
-                return total.scaled(c)
-
-            actions.append(pair_action)
+            for k in range(-kmax, kmax + 1):
+                op1, op2 = ModeOp("a", k, f1), ModeOp("a", lam - k, f2)
+                terms.append((coeff, (op2, op1) if k < 0 else (op1, op2)))
             continue
 
-        if (
-            nosc == 2
-            and spec.kind == "complex_fermion"
-            and state.ferm_b == (1,)
-            and state.ferm_c == (1,)
-        ):
+        if nosc == 2 and spec.kind == "complex_fermion" and state.ferm_b == state.ferm_c == (1,):
             kmax = int(module.cap) + abs(lam) + 2
-
-            def bilinear_action(x: AlgebraElement, c=coeff, kmax=kmax) -> AlgebraElement:
-                total = AlgebraElement.zero()
-                for k in range(-kmax, kmax + 1):
-                    m2 = lam - 1 - k
-                    opb = ModeOp("b", k)
-                    opc = ModeOp("c", m2)
-                    if k < 0:
-                        part = apply_mode(opb, apply_mode(opc, x, module), module)
-                    elif m2 < 0:
-                        part = apply_mode(opc, apply_mode(opb, x, module), module).scaled(-1.0)
-                    else:
-                        part = apply_mode(opb, apply_mode(opc, x, module), module)
-                    total = total.plus(part)
-                return total.scaled(c)
-
-            actions.append(bilinear_action)
+            for k in range(-kmax, kmax + 1):
+                opb, opc = ModeOp("b", k), ModeOp("c", lam - 1 - k)
+                if k >= 0 and opc.n < 0:
+                    terms.append((-coeff, (opb, opc)))
+                else:
+                    terms.append((coeff, (opc, opb)))
             continue
 
         raise UnsupportedInsertion(
             f"zero mode of state {state} is outside the supported families"
         )
+    return terms
+
+
+def zero_mode_operator(
+    module: ModuleSpace, v: AlgebraElement, lam: int = 0
+) -> Callable[[AlgebraElement], AlgebraElement]:
+    """o_lam(v) as an operator on module elements: the monomials of
+    zero_mode_terms applied with apply_mode."""
+    terms = zero_mode_terms(module, v, lam)
 
     def operator(x: AlgebraElement) -> AlgebraElement:
         total = AlgebraElement.zero()
-        for act in actions:
-            total = total.plus(act(x))
+        for coeff, modes in terms:
+            y = x
+            for op in modes:
+                y = apply_mode(op, y, module)
+            total = total.plus(y.scaled(coeff))
         return total
 
     return operator

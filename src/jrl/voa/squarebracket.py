@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable
 
 from ..errors import UnsupportedInsertion
 from ..specfun.points import Truncation
@@ -115,13 +114,6 @@ def square_bracket_image(
     return out
 
 
-def square_mode_operator(
-    module: ModuleSpace, v: AlgebraElement, m: int
-) -> Callable[[AlgebraElement], AlgebraElement]:
-    """v[m] as an operator on module elements."""
-    return lambda x: square_bracket_image(module, v, m, x)
-
-
 def shifted_square_bracket_image(
     module: ModuleSpace,
     v: AlgebraElement,
@@ -144,9 +136,3 @@ def shifted_square_bracket_image(
                 out = out.plus(part.scaled(coeff))
         coeff = coeff * lam / (m + 1)
     return out
-
-
-def shifted_square_mode_operator(
-    module: ModuleSpace, v: AlgebraElement, n: int, lam: float
-) -> Callable[[AlgebraElement], AlgebraElement]:
-    return lambda x: shifted_square_bracket_image(module, v, n, lam, x)

@@ -18,23 +18,26 @@ insertion acts first and must carry the largest Im w:
 
     0 < Im w_1 < Im w_2 < ... < Im w_n < Im tau.
 
-The direct n-point trace is a sum over mode paths: one mode (or the
-identity part) from each insertion, applied innermost first to every
-basis state at once.  A mode changes the level by the same amount on
-every state, so the outermost insertion only needs the one mode that
-brings the path back to its starting level; the path then contributes
-where it ends on its own start state.
+Every operator in a trace is a sum of mode monomials (modes, coefficient,
+level change): a field insertion has one single-mode monomial per X(m)
+plus the identity part, and the zero mode o_lam(v) of `zero_mode_terms`
+has one monomial per mode product, each lowering the level by lam.
+`graded_trace` sums over paths of one monomial per operator, applied
+innermost first to every basis state at once.  A monomial changes the
+level by the same amount on every state, so the outermost operator only
+needs the monomials that bring the path back to its starting level; the
+path then contributes where it ends on its own start state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ..errors import DomainViolation, TruncationLoss, UnsupportedInsertion
+from ..errors import DomainViolation, UnsupportedInsertion
 from ..specfun.points import ModularPoint, phase
 from .algebra import (
     VACUUM,
@@ -49,6 +52,7 @@ from .algebra import (
     enumerate_basis,
     mode_image,
     sector_weight,
+    zero_mode_terms,
 )
 
 DEFAULT_HEADROOM = 12
@@ -129,12 +133,6 @@ def apply_field(
     return out
 
 
-def field_callable(
-    module: ModuleSpace, v: AlgebraElement, w: complex
-) -> Callable[[AlgebraElement], AlgebraElement]:
-    return lambda x: apply_field(module, v, w, x)
-
-
 @dataclass(frozen=True)
 class TraceWeights:
     """Flux and grading data entering the trace weight of each state."""
@@ -168,35 +166,6 @@ def _grading_factors(module: ModuleSpace, tau: ModularPoint, tw: TraceWeights) -
     return f
 
 
-def graded_trace(
-    module: ModuleSpace,
-    ops: Sequence[Callable[[AlgebraElement], AlgebraElement]],
-    tau: ModularPoint,
-    tw: TraceWeights,
-    strict: bool = False,
-) -> complex:
-    """Trace of ops[0] ... ops[-1] against the graded weights.
-
-    ops[0] is the leftmost (outermost) operator.  With strict=True a
-    truncation at the level cap raises TruncationLoss instead of being
-    absorbed silently.
-    """
-    factors = _grading_factors(module, tau, tw)
-    total = 0.0 + 0.0j
-    for i, s in enumerate(module.states):
-        elem = AlgebraElement.from_state(s)
-        for op in reversed(list(ops)):
-            elem = op(elem)
-            if elem.is_zero() and not elem.truncated:
-                break
-        if strict and elem.truncated:
-            raise TruncationLoss("operator product leaked above the level cap")
-        amp = elem.terms.get(s)
-        if amp:
-            total += factors[i] * amp
-    return complex(total)
-
-
 def partition_function(module: ModuleSpace, tau: ModularPoint, tw: TraceWeights) -> complex:
     """The zero-point trace: the sum of the trace weights."""
     return complex(_grading_factors(module, tau, tw).sum())
@@ -204,13 +173,13 @@ def partition_function(module: ModuleSpace, tau: ModularPoint, tw: TraceWeights)
 
 def _field_terms(
     module: ModuleSpace, v: AlgebraElement, w: complex
-) -> list[tuple[ModeOp | None, complex, float]]:
-    """The dressed vertex operator of v at w as (mode, coefficient, level
-    change) terms, None standing for the identity; the modes are those of
+) -> list[tuple[tuple[ModeOp, ...], complex, float]]:
+    """The dressed vertex operator of v at w as (modes, coefficient, level
+    change) terms, () standing for the identity; the modes are those of
     apply_field.  X(m) changes the level by wt_X - 1 - m."""
     spec = module.spec
     scalar, comps = _single_components(spec, v)
-    coeffs: dict[ModeOp | None, complex] = {None: scalar} if scalar else {}
+    coeffs: dict[tuple[ModeOp, ...], complex] = {(): scalar} if scalar else {}
     mmax = int(math.ceil(module.cap)) + 2
     for cv, species, flavor, j in comps:
         _check_mode(ModeOp(species, 0, flavor), spec)
@@ -219,12 +188,93 @@ def _field_terms(
             cc = (-1.0) ** (j - 1) * _general_binom(m + j - 1, j - 1)
             if cc == 0.0:
                 continue
-            op = ModeOp(species, m, flavor)
+            op = (ModeOp(species, m, flavor),)
             coeffs[op] = coeffs.get(op, 0.0) + cv * cc * phase(w * (wt_x - m - 1))
     return [
-        (op, c, 0.0 if op is None else spec.species_weight(op.species) - 1.0 - op.n)
+        (op, c, spec.species_weight(op[0].species) - 1.0 - op[0].n if op else 0.0)
         for op, c in coeffs.items()
     ]
+
+
+def graded_trace(
+    module: ModuleSpace,
+    insertions: Sequence[tuple[AlgebraElement, complex]],
+    tau: ModularPoint,
+    tw: TraceWeights,
+    zero_mode: tuple[AlgebraElement, int] | None = None,
+) -> complex:
+    """Tr o_lam(v) Y(x_1, w_1) ... Y(x_n, w_n) against the graded weights,
+    with zero_mode = (v, lam), or without o_lam(v) when it is None.
+
+    insertions[0] is leftmost; their positions are not validated here.
+    The path sum is depth first.  Each path is carried on all basis states
+    at once as (start index, current index, amplitude) arrays, and drops
+    the states its modes annihilate or push above the level cap.
+    """
+    weights = _grading_factors(module, tau, tw)
+    zero = None if zero_mode is None else zero_mode_terms(module, *zero_mode)
+    layers = [_field_terms(module, v, w) for v, w in insertions]
+    if zero is not None:
+        # modes foreign to the module raise, also where no path reaches them
+        for _, modes in zero:
+            for op in modes:
+                _check_mode(op, module.spec)
+        # every monomial of o_lam(v) lowers the level by lam
+        layers.insert(0, [(modes, c, -float(zero_mode[1])) for c, modes in zero])
+    if not layers:
+        return complex(weights.sum())
+    closing: dict[float, list[tuple[tuple[ModeOp, ...], complex]]] = {}
+    for modes, coeff, shift in layers[0]:
+        closing.setdefault(shift, []).append((modes, coeff))
+
+    # With three or more layers, every layer but the innermost acts on
+    # several branches of the path sum, so its mode images of the whole
+    # module are kept for this call.  With two, each image is used once.
+    every = np.arange(module.dim)
+    innermost = len(layers) - 1
+    kept: dict[ModeOp, tuple[np.ndarray, np.ndarray]] = {}
+
+    def image(depth: int, modes: Sequence[ModeOp], cur: np.ndarray):
+        """(target, coeff) of a mode monomial on the states cur; modes[0]
+        acts first."""
+        op, *rest = modes
+        if innermost < 2 or depth == innermost:
+            target, c = mode_image(op, module, cur)
+        else:
+            if op not in kept:
+                kept[op] = mode_image(op, module, every)
+            target, c = kept[op]
+            target, c = target[cur], c[cur]
+        if rest:
+            hit = c.nonzero()[0]
+            target[hit], c_rest = image(depth, rest, target[hit])
+            c[hit] *= c_rest
+        return target, c
+
+    total = 0.0 + 0.0j
+
+    def descend(depth: int, start: np.ndarray, cur: np.ndarray, amp: np.ndarray, level: float):
+        nonlocal total
+        if depth == 0:
+            for modes, coeff in closing.get(-level, ()):
+                if not modes:
+                    total += coeff * amp[cur == start].sum()
+                else:
+                    target, c = image(0, modes, cur)
+                    total += coeff * np.dot(np.where(target == start, c, 0.0), amp)
+            return
+        for modes, coeff, shift in layers[depth]:
+            if not modes:
+                descend(depth - 1, start, cur, coeff * amp, level)
+                continue
+            target, c = image(depth, modes, cur)
+            keep = c.nonzero()[0]
+            if keep.size:
+                amp_next = amp[keep] * (coeff * c[keep])
+                descend(depth - 1, start[keep], target[keep], amp_next, level + shift)
+
+    descend(innermost, every, every, weights, 0.0)
+    return complex(total)
 
 
 def npoint_trace(
@@ -236,68 +286,14 @@ def npoint_trace(
     """Direct Fock-space n-point trace.
 
     insertions[0] is leftmost; positions must be nested,
-    0 < Im w_1 < ... < Im w_n < Im tau.  The trace is a depth-first sum
-    over mode paths, innermost insertion first.  Each path is carried on
-    all basis states at once as (start index, current index, amplitude)
-    arrays, and drops the states its modes annihilate or push above the
-    level cap.  At the outermost insertion only the modes that bring the
-    path back to its starting level are tried, and a path counts where it
-    ends on its own start state.
+    0 < Im w_1 < ... < Im w_n < Im tau.
     """
-    ws = [complex(w) for _, w in insertions]
-    ims = [w.imag for w in ws]
+    ims = [complex(w).imag for _, w in insertions]
     if ims and not all(x < y for x, y in zip(ims, ims[1:])):
         raise DomainViolation("positions must have strictly increasing Im w")
     if ims and not (0.0 < ims[0] and ims[-1] < tau.tau.imag):
         raise DomainViolation("positions must satisfy 0 < Im w < Im tau")
-
-    weights = _grading_factors(module, tau, tw)
-    if not insertions:
-        return complex(weights.sum())
-    layers = [_field_terms(module, v, w) for v, w in insertions]
-    closing: dict[float, list[tuple[ModeOp | None, complex]]] = {}
-    for op, coeff, shift in layers[0]:
-        closing.setdefault(shift, []).append((op, coeff))
-
-    # With three or more insertions, every insertion but the innermost acts
-    # on several branches of the path sum, so its mode images of the whole
-    # module are kept for this call.  With two, each image is used once.
-    every = np.arange(module.dim)
-    innermost = len(layers) - 1
-    kept: dict[ModeOp, tuple[np.ndarray, np.ndarray]] = {}
-
-    def image(depth: int, op: ModeOp, cur: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if innermost < 2 or depth == innermost:
-            return mode_image(op, module, cur)
-        if op not in kept:
-            kept[op] = mode_image(op, module, every)
-        target, c = kept[op]
-        return target[cur], c[cur]
-
-    total = 0.0 + 0.0j
-
-    def descend(depth: int, start: np.ndarray, cur: np.ndarray, amp: np.ndarray, level: float):
-        nonlocal total
-        if depth == 0:
-            for op, coeff in closing.get(-level, ()):
-                if op is None:
-                    total += coeff * amp[cur == start].sum()
-                else:
-                    target, c = image(0, op, cur)
-                    total += coeff * np.dot(np.where(target == start, c, 0.0), amp)
-            return
-        for op, coeff, shift in layers[depth]:
-            if op is None:
-                descend(depth - 1, start, cur, coeff * amp, level)
-                continue
-            target, c = image(depth, op, cur)
-            keep = c.nonzero()[0]
-            if keep.size:
-                amp_next = amp[keep] * (coeff * c[keep])
-                descend(depth - 1, start[keep], target[keep], amp_next, level + shift)
-
-    descend(innermost, every, every, weights, 0.0)
-    return complex(total)
+    return graded_trace(module, insertions, tau, tw)
 
 
 def working_module(

@@ -1,8 +1,8 @@
-"""Per-state loop form of the direct n-point trace, kept as the reference
-that the array engine in jrl.voa.trace is tested against.
+"""Per-state loop forms of the direct traces, kept as the references that
+the array engine in jrl.voa.trace is tested against.
 
 Every basis state is pushed through the inner insertions with
-`apply_field` on the dict representation, and the outermost insertion is
+`apply_field` on the dict representation, and the outermost operator is
 contracted against the diagonal one state at a time.
 """
 
@@ -14,6 +14,7 @@ from jrl.voa.algebra import (
     _general_binom,
     apply_mode,
     state_level,
+    zero_mode_operator,
 )
 from jrl.voa.trace import _single_components, apply_field
 
@@ -81,6 +82,21 @@ def npoint_trace_loop(module, insertions, tau, tw):
             if elem.is_zero():
                 continue
             amp = field_diagonal(module, insertions[0][0], insertions[0][1], elem, s, lvl)
+        if amp:
+            total += state_factor(module, tau, tw, s) * amp
+    return total
+
+
+def zero_mode_trace_loop(module, v, lam, insertions, tau, tw):
+    """Tr o_lam(v) Y(x_1, w_1) ... Y(x_n, w_n), one basis state at a time:
+    the fields from the innermost out, then o_lam(v), then the diagonal."""
+    zero_mode = zero_mode_operator(module, v, lam)
+    total = 0.0 + 0.0j
+    for s in module.states:
+        elem = AlgebraElement.from_state(s)
+        for u, w in reversed(insertions):
+            elem = apply_field(module, u, w, elem)
+        amp = zero_mode(elem).terms.get(s)
         if amp:
             total += state_factor(module, tau, tw, s) * amp
     return total

@@ -189,6 +189,28 @@ def test_reduce_rejects_creator_label_below_one(tmp_path, algebra, sector, state
     assert json.loads(r.stdout)["error"]["type"] == "DomainViolation"
 
 
+@pytest.mark.parametrize(
+    "section, field, value",
+    [
+        (None, "cap", "eight"),
+        ("params", "shift", [1]),
+        (None, "insertions", 5),
+        ("algebra", "rank", "two"),
+        (None, "sector", "x"),
+        (None, "insertions", [{"state": {"boson": [[0, "a"]]}, "z": [0.0, 0.12]}]),
+        (None, "truncation", {"n_q": "x"}),
+    ],
+    ids=["cap", "shift", "insertions", "rank", "sector", "boson_label", "truncation"],
+)
+def test_reduce_rejects_malformed_values(tmp_path, section, field, value):
+    bad = json.loads(json.dumps(BASE_REQUEST))
+    (bad if section is None else bad[section])[field] = value
+    r = run_cli("reduce", request=bad, tmp_path=tmp_path)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "Traceback" not in r.stderr
+    assert "malformed" in r.stderr and field in r.stderr
+
+
 def test_reduce_accepts_zeta_alias(tmp_path):
     import cmath
     import math
@@ -214,11 +236,28 @@ def test_verify_specfun_passes_and_is_byte_stable():
     assert all(c["pass"] for c in doc["checks"])
 
 
-def test_verify_workers_do_not_change_bytes():
-    a = run_cli("verify", "--suite", "voa", "--workers", "1")
-    b = run_cli("verify", "--suite", "voa", "--workers", "4")
-    assert a.returncode == 0 and b.returncode == 0
-    assert a.stdout == b.stdout
+@pytest.mark.parametrize("flag, env", [(["--nq", "4"], {}), ([], {"JRL_DEFAULT_NQ": "4"})])
+def test_verify_truncation_reaches_reduction_checks(monkeypatch, capsys, flag, env):
+    # no reduction residual moves with n_q (both sides of the chain and kz
+    # checks share their kernels), so the requests themselves are inspected
+    from jrl import cli
+    from jrl.reduction import NPointRequest
+
+    monkeypatch.delenv("JRL_DEFAULT_NQ", raising=False)
+    monkeypatch.delenv("JRL_DEFAULT_TOL", raising=False)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    seen = []
+    post_init = NPointRequest.__post_init__
+
+    def record(self):
+        seen.append(self.truncation.n_q)
+        post_init(self)
+
+    monkeypatch.setattr(NPointRequest, "__post_init__", record)
+    assert cli.main(["verify", "--suite", "reduction", *flag]) == 0
+    capsys.readouterr()
+    assert seen and set(seen) == {4}
 
 
 def test_verify_impossible_tolerance_fails():

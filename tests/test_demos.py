@@ -1,4 +1,5 @@
-"""The narrated demos run end to end: exit 0 and no traceback."""
+"""The narrated demos run end to end: exit 0, no traceback, and no file
+left in the temp directory."""
 
 import os
 import pathlib
@@ -21,8 +22,9 @@ def test_all_four_demos_are_collected():
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
-def test_demo_runs_cleanly(demo):
+def test_demo_runs_cleanly(demo, tmp_path):
     env = os.environ.copy()
+    env["TMPDIR"] = str(tmp_path)
     env.pop("JRL_DEFAULT_NQ", None)
     env.pop("JRL_DEFAULT_TOL", None)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -34,3 +36,4 @@ def test_demo_runs_cleanly(demo):
     assert r.returncode == 0, r.stdout + r.stderr
     assert "Traceback" not in r.stdout + r.stderr
     assert r.stdout.strip()
+    assert not any(tmp_path.iterdir()), "the demo left files in the temp directory"

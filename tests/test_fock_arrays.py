@@ -5,18 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from reference_trace import npoint_trace_loop
+from reference_trace import npoint_trace_loop, zero_mode_trace_loop
 from jrl.errors import DomainViolation, UnsupportedInsertion
 from jrl.specfun import ModularPoint
 from jrl.voa import (
     VACUUM,
     AlgebraElement,
     AlgebraSpec,
+    BasisState,
     ModeOp,
     TraceWeights,
     apply_mode,
     current_state,
     enumerate_basis,
+    graded_trace,
     npoint_trace,
     oscillator_state,
     partition_function,
@@ -97,6 +99,39 @@ def test_array_trace_matches_loop_reference(case, grading):
         assert_close(partition_function(module, TAU, tw), want)
 
 
+A0A1 = AlgebraElement.from_state(BasisState(boson=((0, 1), (1, 1))))
+HALF_VACUUM = AlgebraElement.from_state(VACUUM, 0.5)
+# a0(-1)a0(-2)vac, outside the zero-mode families
+UNSUPPORTED_PAIR = AlgebraElement.from_state(BasisState(boson=((0, 1), (0, 2))))
+
+# zero mode o_lam(v): (spec, sector, cap, v, lam, single-oscillator insertions)
+ZERO_CASES = {
+    "vac.0": (HEIS2, (0.7, 0.3), 3.0, HALF_VACUUM, 0, (A0, A1)),
+    "vac.1": (HEIS2, (0.7, 0.3), 3.0, HALF_VACUUM, 1, (A0, A1)),
+    "J.0": (HEIS2, (0.7, 0.3), 3.0, J2, 0, (A0, A1)),
+    "J.1": (HEIS2, (0.7, 0.3), 3.0, J2, 1, (A0, A1)),
+    "a(-2).1": (HEIS2, (0.7, 0.3), 3.0, A2, 1, (A0, A1)),
+    "a0a1.0": (HEIS2, (0.7, 0.3), 3.0, A0A1, 0, (A0, A1)),
+    "a0a1.1": (HEIS2, (0.7, 0.3), 3.0, A0A1, 1, (A0, A1)),
+    "a0a1.2": (HEIS2, (0.7, 0.3), 3.0, A0A1, 2, (A0, A1)),
+    "bc.0": (CF_SHIFTED, (), 4.0, current_state(CF_SHIFTED), 0, (B, C)),
+    "bc.1": (CF_SHIFTED, (), 4.0, current_state(CF_SHIFTED), 1, (B, C)),
+}
+
+
+@pytest.mark.parametrize("grading", ["plain", "super"])
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("case", sorted(ZERO_CASES))
+def test_zero_mode_trace_matches_loop_reference(case, n, grading):
+    spec, sector, cap, v, lam, states = ZERO_CASES[case]
+    module = enumerate_basis(spec, sector, cap)
+    insertions = list(zip(states[:n], WS.get(n, ())))
+    tw = GRADINGS[grading]
+    want = zero_mode_trace_loop(module, v, lam, insertions, TAU, tw)
+    got = graded_trace(module, insertions, TAU, tw, zero_mode=(v, lam))
+    assert_close(got, want)
+
+
 def test_array_trace_keeps_typed_errors():
     heis = enumerate_basis(HEIS, (0.6,), 3.0)
     rf = enumerate_basis(RF, (), 3.5)
@@ -115,6 +150,11 @@ def test_array_trace_keeps_typed_errors():
         npoint_trace(heis, [(J, 0.3j), (J, 0.2j)], TAU, tw)
     with pytest.raises(DomainViolation):
         npoint_trace(heis, [(J, 0.2j), (J, 0.6j)], TAU, tw)
+    # a zero mode foreign to the module raises although no path reaches it
+    with pytest.raises(UnsupportedInsertion, match="fermionic mode"):
+        graded_trace(heis, [], TAU, tw, zero_mode=(B, 1))
+    with pytest.raises(UnsupportedInsertion, match="supported families"):
+        graded_trace(heis, [], TAU, tw, zero_mode=(UNSUPPORTED_PAIR, 0))
 
 
 def test_state_key_is_exact_past_64_bits():
