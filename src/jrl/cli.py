@@ -124,7 +124,7 @@ def _get(obj: dict, key: str, convert, where: str, default=None):
     value = obj.get(key, default)
     try:
         return convert(value)
-    except (TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError, IndexError, UsageError) as exc:
         raise UsageError(f"malformed {where}.{key}: {value!r}") from exc
 
 
@@ -144,6 +144,15 @@ def _truncation_from_json(t, tr: Truncation, where: str) -> Truncation:
         n_mode=_get(t, "n_mode", int, where, tr.n_mode),
         tol=_get(t, "tol", float, where, tr.tol),
     )
+
+
+def _default_truncation() -> Truncation:
+    """default_truncation(), with a malformed JRL_DEFAULT_NQ or
+    JRL_DEFAULT_TOL reported as a UsageError."""
+    try:
+        return default_truncation()
+    except ValueError as exc:
+        raise UsageError(f"malformed JRL_DEFAULT_NQ or JRL_DEFAULT_TOL: {exc}") from exc
 
 
 def dump_report(report: dict) -> str:
@@ -237,7 +246,7 @@ def request_from_json(doc: dict) -> NPointRequest:
             v = v.scaled(coeff)
         insertions.append((v, l2c(ins["z"])))
 
-    tr = default_truncation()
+    tr = _default_truncation()
     if "truncation" in doc:
         tr = _truncation_from_json(doc["truncation"], tr, "request.truncation")
 
@@ -337,57 +346,49 @@ def eval_entry(entry: dict, tr: Truncation) -> dict:
     if fn not in EVAL_FNS:
         raise UsageError(f"unknown fn {fn!r}; choose from {', '.join(EVAL_FNS)}")
 
-    def need(*names):
-        for nm in names:
-            if entry.get(nm) is None:
-                raise UsageError(f"--fn {fn} needs --{nm}")
+    def need(name, convert):
+        if entry.get(name) is None:
+            raise UsageError(f"--fn {fn} needs --{name}")
+        return _get(entry, name, convert, "eval entry")
 
     params: dict = {}
     error_scale = None
     if fn == "B":
-        need("k")
-        b = bernoulli(int(entry["k"]))
-        params = {"k": int(entry["k"]), "exact": f"{b.numerator}/{b.denominator}"}
+        k = need("k", int)
+        b = bernoulli(k)
+        params = {"k": k, "exact": f"{b.numerator}/{b.denominator}"}
         value = complex(b)
         error_scale = 0.0
     else:
-        need("tau")
-        tau = ModularPoint(l2c(entry["tau"]))
+        tau = ModularPoint(need("tau", l2c))
         params["tau"] = c2l(tau.tau)
         error_scale = tr.error_scale(tau)
         if fn == "E":
-            need("k")
-            params["k"] = int(entry["k"])
-            value = eisenstein(int(entry["k"]), tau, tr)
+            params["k"] = need("k", int)
+            value = eisenstein(params["k"], tau, tr)
         elif fn == "Etwist":
-            need("k", "lam")
-            params["k"] = int(entry["k"])
-            params["lam"] = float(entry["lam"])
-            value = eisenstein_twisted(int(entry["k"]), float(entry["lam"]), tau, tr)
+            params["k"] = need("k", int)
+            params["lam"] = need("lam", float)
+            value = eisenstein_twisted(params["k"], params["lam"], tau, tr)
         elif fn == "Etilde":
-            need("k", "z")
-            z = l2c(entry["z"])
-            params["k"] = int(entry["k"])
+            params["k"] = need("k", int)
+            z = need("z", l2c)
             params["z"] = c2l(z)
-            value = eisenstein_tilde(int(entry["k"]), z, tau, tr)
+            value = eisenstein_tilde(params["k"], z, tau, tr)
         elif fn == "laurentP":
             kind = entry.get("kind", "plain")
-            need("k")
+            k = need("k", int)
             fit_params = {}
             if kind == "twisted":
-                need("lam")
-                fit_params["lam"] = int(entry["lam"])
-                params["lam"] = int(entry["lam"])
+                fit_params["lam"] = params["lam"] = need("lam", int)
             elif kind == "tilde":
-                need("z")
-                zc = l2c(entry["z"])
-                fit_params["z"] = zc
-                params["z"] = c2l(zc)
+                fit_params["z"] = need("z", l2c)
+                params["z"] = c2l(fit_params["z"])
             elif kind != "plain":
                 raise UsageError(f"unknown laurentP kind {kind!r}")
-            fit = laurent_coeffs_p1(kind, fit_params, tau, int(entry["k"]), tr)
+            fit = laurent_coeffs_p1(kind, fit_params, tau, k, tr)
             params["kind"] = kind
-            params["k"] = int(entry["k"])
+            params["k"] = k
             return {
                 "name": "laurentP",
                 "parameters": params,
@@ -401,35 +402,27 @@ def eval_entry(entry: dict, tr: Truncation) -> dict:
                 "pass": True,
             }
         else:
-            need("w", "m" if fn in ("P", "Ptwist", "Ptilde") else "k")
-            w = l2c(entry["w"])
+            w = need("w", l2c)
+            order = "m" if fn in ("P", "Ptwist", "Ptilde") else "k"
+            params[order] = need(order, int)
             # positions are 1-periodic; normalize into the fundamental strip
             w = complex(w.real - math.floor(w.real), w.imag)
             point = AnnulusPoint(w, tau)
             params["w"] = c2l(w)
             if fn == "P":
-                params["m"] = int(entry["m"])
-                value = weier_p(int(entry["m"]), point, tr)
+                value = weier_p(params["m"], point, tr)
             elif fn == "Ptwist":
-                need("lam")
-                params["m"] = int(entry["m"])
-                params["lam"] = int(entry["lam"])
-                value = weier_p_twisted(int(entry["m"]), int(entry["lam"]), point, tr)
+                params["lam"] = need("lam", int)
+                value = weier_p_twisted(params["m"], params["lam"], point, tr)
             elif fn == "Ptilde":
-                need("z")
-                zc = l2c(entry["z"])
-                params["m"] = int(entry["m"])
+                zc = need("z", l2c)
                 params["z"] = c2l(zc)
-                value = weier_p_tilde(int(entry["m"]), point, zc, tr)
+                value = weier_p_tilde(params["m"], point, zc, tr)
             else:  # Pdef
-                need("theta", "phi", "k")
-                theta = l2c(entry["theta"])
-                phi = l2c(entry["phi"])
-                twist = TwistPair.from_theta_phi(theta, phi)
-                params["k"] = int(entry["k"])
+                twist = TwistPair.from_theta_phi(need("theta", l2c), need("phi", l2c))
                 params["theta"] = c2l(twist.theta)
                 params["phi"] = c2l(twist.phi)
-                value = weier_p_deformed(int(entry["k"]), twist, point, tr)
+                value = weier_p_deformed(params["k"], twist, point, tr)
 
     return {
         "name": fn,
@@ -917,7 +910,7 @@ def cmd_verify(args) -> int:
 
 
 def _truncation_from_args(args) -> Truncation:
-    tr = default_truncation()
+    tr = _default_truncation()
     if getattr(args, "nq", None) is not None:
         tr = replace(tr, n_q=args.nq)
     if getattr(args, "nmode", None) is not None:

@@ -22,7 +22,7 @@ from .series import bernoulli, stable_sum
 def eisenstein(k: int, tau: ModularPoint, tr: Truncation) -> complex:
     """E_k(tau) truncated at q-order n_q.  Exact -1 at k = 0, exact 0 for odd k."""
     if k < 0:
-        raise ValueError("Eisenstein index must be nonnegative")
+        raise DomainViolation("Eisenstein index must be nonnegative")
     if k == 0:
         return complex(-1.0)
     if k % 2 == 1:
@@ -41,7 +41,7 @@ def eisenstein(k: int, tau: ModularPoint, tr: Truncation) -> complex:
 def eisenstein_twisted(k: int, lam: float, tau: ModularPoint, tr: Truncation) -> complex:
     """E_{k,lam}(tau) = sum_{j=0}^{k} (lam^j / j!) E_{k-j}(tau)."""
     if k < 0:
-        raise ValueError("index must be nonnegative")
+        raise DomainViolation("index must be nonnegative")
     return stable_sum(
         (lam**j / math.factorial(j)) * eisenstein(k - j, tau, tr) for j in range(k + 1)
     )
@@ -62,7 +62,7 @@ def p1_twisted_series_coefficient(k: int, lam: float, tau: ModularPoint, tr: Tru
     Laurent coefficient of P_{1,lam}.
     """
     if k < 1:
-        raise ValueError("coefficient index starts at 1")
+        raise DomainViolation("coefficient index starts at 1")
 
     def estar(j: int) -> complex:
         if j == 1:
@@ -84,7 +84,7 @@ def eisenstein_tilde(k: int, z: complex, tau: ModularPoint, tr: Truncation) -> c
     pole at q_z = 1.
     """
     if k < 0:
-        raise ValueError("index must be nonnegative")
+        raise DomainViolation("index must be nonnegative")
     if k == 0:
         return complex(-1.0)
     if abs(complex(z).imag) >= tau.tau.imag:

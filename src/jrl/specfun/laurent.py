@@ -12,19 +12,14 @@ norm-scaled before solving so the normal system stays well conditioned.
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import FitIllConditioned
-from .points import ModularPoint, Truncation
-from .weierstrass import _p1_flipped, _p1_tilde_flipped, _p1_twisted_flipped
+from ..errors import DomainViolation, FitIllConditioned, PoleHit
+from .points import TWO_PI_I, ModularPoint, Truncation, phase
 
 MAX_FIT_ORDER = 12
-
-_TWO_PI_I = 2j * math.pi
 
 
 @dataclass(frozen=True)
@@ -42,7 +37,7 @@ class LaurentFit:
     @property
     def pole_residue(self) -> complex:
         """Residue of f at w = 0 in the w variable."""
-        return self.pole_coefficient / _TWO_PI_I
+        return self.pole_coefficient / TWO_PI_I
 
     def __len__(self) -> int:
         return len(self.coefficients)
@@ -52,6 +47,55 @@ class LaurentFit:
 
     def __iter__(self):
         return iter(self.coefficients)
+
+
+def _neumaier_columns(terms: np.ndarray) -> np.ndarray:
+    """Compensated sums down the columns of a complex (T, S) array.
+
+    Each column is added in row order, carrying the exact rounding error
+    of every partial sum (Knuth's two-sum), so column s equals
+    series.stable_sum(terms[:, s]) bit for bit.
+    """
+    x = np.concatenate([terms.real, terms.imag], axis=1)
+    total = np.zeros(x.shape[1])
+    comp = np.zeros(x.shape[1])
+    for t in x:
+        u = total + t
+        v = u - total
+        comp += (total - (u - v)) + (t - v)
+        total = u
+    total += comp
+    half = terms.shape[1]
+    return total[:half] + 1j * total[half:]
+
+
+def _p1_strip(
+    ws: np.ndarray, tau: ModularPoint, tr: Truncation, q_z: complex | None
+) -> np.ndarray:
+    """P_1 (q_z None) or Ptilde_1(., z) with q_z = e^{2 pi i z} at the points ws.
+
+    The double-strip form
+
+        head - q_w/(1 - q_w) - sum_{n m <= n_q} q^{n m} (q_w^n q_z^m - q_w^{-n} q_z^{-m}),
+
+    with head = -1/2 for P_1 and -1/(1 - q_z) for Ptilde_1, converges for
+    |Im w| < Im tau, w != 0: small circles around the origin, where the
+    annulus forms do not apply.  Terms run over n ascending, then m.
+    """
+    if q_z is None:
+        head, q_z = -0.5, 1.0 + 0.0j
+    elif abs(1.0 - q_z) <= tr.tol:
+        raise PoleHit("Ptilde_1 strip form has a pole at q_z = 1")
+    else:
+        head = -1.0 / (1.0 - q_z)
+    n = np.concatenate([np.full(tr.n_q // a, a) for a in range(1, tr.n_q + 1)])
+    m = np.concatenate([np.arange(1, tr.n_q // a + 1) for a in range(1, tr.n_q + 1)])
+    q_w = np.exp(TWO_PI_I * ws)
+    up = q_w[:, None] ** np.arange(tr.n_q + 1)
+    down = 1.0 / up
+    q_nm = tau.q ** (n * m)
+    terms = q_nm * (up[:, n] * q_z**m - down[:, n] * q_z ** (-m))
+    return head - q_w / (1.0 - q_w) - _neumaier_columns(terms.T)
 
 
 def laurent_coeffs_p1(
@@ -67,19 +111,11 @@ def laurent_coeffs_p1(
     "tilde" (Ptilde_1(., z), params["z"] complex).
     """
     if K < 1:
-        raise ValueError("need at least one coefficient")
+        raise DomainViolation("need at least one coefficient")
     if K > MAX_FIT_ORDER:
-        raise ValueError(f"fit order {K} exceeds the configured maximum {MAX_FIT_ORDER}")
-    if kind == "plain":
-        f = lambda w: _p1_flipped(w, tau, tr)
-    elif kind == "twisted":
-        lam = int(params["lam"])
-        f = lambda w: _p1_twisted_flipped(lam, w, tau, tr)
-    elif kind == "tilde":
-        z = complex(params["z"])
-        f = lambda w: _p1_tilde_flipped(w, z, tau, tr)
-    else:
-        raise ValueError(f"unknown kernel kind {kind!r}")
+        raise DomainViolation(f"fit order {K} exceeds the configured maximum {MAX_FIT_ORDER}")
+    if kind not in ("plain", "twisted", "tilde"):
+        raise DomainViolation(f"unknown kernel kind {kind!r}")
 
     rho = 0.05 * tau.tau.imag
     if not rho > 0.0:
@@ -88,14 +124,14 @@ def laurent_coeffs_p1(
     # a few guard orders beyond K soak up the truncated tail
     n_coeffs = min(K + 6, n_samples - 1)
 
-    ws = [rho * cmath.exp(2j * math.pi * (s + 0.5) / n_samples) for s in range(n_samples)]
-    values = np.array([f(w) for w in ws], dtype=complex)
-    basis = np.empty((n_samples, n_coeffs + 1), dtype=complex)
-    for i, w in enumerate(ws):
-        u = _TWO_PI_I * w
-        basis[i, 0] = 1.0 / u
-        for j in range(n_coeffs):
-            basis[i, j + 1] = u**j
+    ws = rho * np.exp(TWO_PI_I * (np.arange(n_samples) + 0.5) / n_samples)
+    q_z = phase(complex(params["z"])) if kind == "tilde" else None
+    values = _p1_strip(ws, tau, tr, q_z)
+    if kind == "twisted":
+        # index shift identity: P_{1,lam} = q_w^{-lam} (P_1 + 1/2)
+        values = np.exp(TWO_PI_I * ws) ** (-int(params["lam"])) * (values + 0.5)
+    u = TWO_PI_I * ws
+    basis = np.column_stack([1.0 / u, u[:, None] ** np.arange(n_coeffs)])
 
     scales = np.linalg.norm(basis, axis=0)
     if np.any(scales == 0.0):

@@ -22,6 +22,11 @@ DEFAULT_NQ = 12
 DEFAULT_NMODE = 64
 DEFAULT_TOL = 1e-9
 
+# upper bounds on the truncation orders: a kernel call allocates about
+# n_q log n_q double-sum terms and 2 n_mode + 1 mode-sum terms
+MAX_NQ = 512
+MAX_NMODE = 4096
+
 
 def phase(x: complex) -> complex:
     """exp(2 pi i x), with Re(x) reduced mod 1 first.
@@ -144,6 +149,11 @@ class Truncation:
     def __post_init__(self):
         if self.n_q < 1 or self.n_mode < 1:
             raise DomainViolation("truncation orders must be positive")
+        if self.n_q > MAX_NQ or self.n_mode > MAX_NMODE:
+            raise DomainViolation(
+                f"truncation orders are capped at n_q <= {MAX_NQ} and n_mode <= {MAX_NMODE}; "
+                f"got n_q={self.n_q}, n_mode={self.n_mode}"
+            )
         if not 0.0 < self.tol < 1.0:
             raise DomainViolation("tol must lie in (0, 1)")
 

@@ -30,7 +30,7 @@ def bernoulli(k: int) -> Fraction:
     the cache are lock-free once populated; extension is single-writer.
     """
     if k < 0:
-        raise ValueError("Bernoulli index must be nonnegative")
+        raise DomainViolation("Bernoulli index must be nonnegative")
     if k < len(_BERNOULLI_CACHE):
         return _BERNOULLI_CACHE[k]
     with _BERNOULLI_LOCK:

@@ -1,12 +1,26 @@
 """Elliptic kernel functions on the annulus 0 < Im w < Im tau.
 
-All variants are mode sums over an integer (or lam-shifted) index n.
-Terms with negative index are rewritten through
+All four kernels are one mode sum, the deformed kernel P_m[theta; phi] of
+Mason-Tuite-Zuevsky (CMP 283 (2008) 305):
 
-    1/(1 - q^{-j}) = -q^j / (1 - q^j),        j >= 1,
+    ((-1)^m/(m-1)!) sum'_{n in Z + lam} n^{m-1} q_w^n / (1 - u q^{n+e}),
 
-so every retained term decays geometrically; sums run in ascending |n|
-(positive branch first at each |n|) with compensated summation.
+evaluated by ``_mode_sum``.  The public names pick its parameters:
+
+    kernel              u           e     lam          omitted n
+    weier_p             1           0     0            0 (and -1/2 added at m = 1)
+    weier_p_twisted     1           lam   0            -lam
+    weier_p_tilde       q_z         0     0            none
+    weier_p_deformed    theta^{-1}  0     twist.lam    0, only when (theta, phi) = (1, 1)
+
+The mode index j = n - lam runs 0, 1, -1, 2, -2, ..., n_mode, -n_mode,
+and the terms are added in that order with compensated summation.  A
+term whose q-exponent s = n + e is negative is rewritten through
+
+    1/(1 - u q^s) = -r / (1 - r),        r = q^{-s} / u,
+
+so every retained term decays geometrically; every retained denominator
+is checked against tr.tol and raises PoleHit when it vanishes.
 
 Function index convention: weier_p(m, ...) is P_m with
 
@@ -14,8 +28,6 @@ Function index convention: weier_p(m, ...) is P_m with
     P_m     = ((-1)^m/(m-1)!) sum_{n != 0} n^{m-1} q_w^n / (1 - q^n),  m >= 2,
 
 which matches P_{m+1} = ((-1)^m / m!) D_w^m P_1 with D_w = (2 pi i)^{-1} d/dw.
-The twisted, flux-deformed, and two-variable variants follow the same
-index convention.
 """
 
 from __future__ import annotations
@@ -23,92 +35,74 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
+
 from ..errors import DomainViolation, PoleHit
-from .points import TWO_PI_I, AnnulusPoint, ModularPoint, TwistPair, Truncation, phase
+from .points import TWO_PI_I, AnnulusPoint, Truncation, TwistPair, phase
 from .series import stable_sum
 
 
-def _check_order(m: int) -> None:
+def _mode_sum(
+    m: int,
+    p: AnnulusPoint,
+    tr: Truncation,
+    u: complex = 1.0,
+    e: int = 0,
+    lam: float = 0.0,
+    omit: float | None = None,
+) -> complex:
+    """((-1)^m/(m-1)!) sum_{n in Z + lam, n != omit} n^{m-1} q_w^n / (1 - u q^{n+e})."""
     if m < 1:
-        raise ValueError("kernel order must be >= 1")
+        raise DomainViolation(f"kernel order must be >= 1, got {m}")
+    a = np.arange(1, tr.n_mode + 1, dtype=float)
+    j = np.zeros(2 * tr.n_mode + 1)
+    j[1::2] = a
+    j[2::2] = -a
+    n = j + lam
+    # n^{m-1} vanishes at n = 0 for m >= 2: drop that term with the omitted one
+    keep = (n != 0.0) | (m == 1)
+    if omit is not None:
+        keep &= n != omit
+    j, n = j[keep], n[keep]
+    s = n + e
+    pos = s >= 0.0
+    q = p.tau.q
+    q_w = phase(p.w)
+    # 1/(1 - u q^s) = -r/(1 - r) with r = q^{-s}/u when s < 0
+    r = q ** np.abs(s) * np.where(pos, u, 1.0 / u)
+    den = 1.0 - r
+    hit = np.abs(den) <= tr.tol
+    if hit.any():
+        raise PoleHit(f"1 - u q^{s[hit][0]:g} vanished within tolerance (u = {u})")
+    # q_w^n (s >= 0) and -q_w^n r (s < 0) as e^{2 pi i lam w} times an
+    # integer power of q_w or q/q_w, bases of modulus below 1, so nothing
+    # overflows; the powers of q_w = phase(w) are exactly 1-periodic in w
+    base = np.where(pos, q_w, q / q_w) ** np.where(pos, j, -j)
+    num = base * np.where(pos, 1.0, -(q ** (-lam - e)) / u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = n ** (m - 1) * cmath.exp(TWO_PI_I * lam * p.w) * num / den
+    if not np.isfinite(terms).all():
+        raise DomainViolation(f"kernel terms overflow at order {m} and n_mode {tr.n_mode}")
+    sign = -1.0 if m % 2 else 1.0
+    return sign / math.factorial(m - 1) * stable_sum(terms.tolist())
 
 
 def weier_p(m: int, p: AnnulusPoint, tr: Truncation) -> complex:
     """P_m(w, tau) on the annulus."""
-    _check_order(m)
-    q = p.tau.q
-    q_w = p.q_w
-    sign = -1.0 if m % 2 else 1.0
-    pref = sign / math.factorial(m - 1)
-    terms = []
-    for n in range(1, tr.n_mode + 1):
-        nk = float(n) ** (m - 1)
-        den = 1.0 - q**n
-        # index +n directly, index -n via the geometric rewrite
-        terms.append(nk * q_w**n / den)
-        terms.append(sign * nk * (q**n / q_w**n) / den)
-    out = pref * stable_sum(terms)
-    if m == 1:
-        out += -0.5
-    return out
+    out = _mode_sum(m, p, tr, omit=0.0)
+    return out - 0.5 if m == 1 else out
 
 
 def weier_p_twisted(m: int, lam: int, p: AnnulusPoint, tr: Truncation) -> complex:
     """P_{m,lam}(w, tau) = ((-1)^m/(m-1)!) sum_{n != -lam} n^{m-1} q_w^n / (1 - q^{n+lam})."""
-    _check_order(m)
     if lam != int(lam):
         raise DomainViolation("twisted kernel requires an integer lattice parameter")
-    lam = int(lam)
-    q = p.tau.q
-    q_w = p.q_w
-    sign = -1.0 if m % 2 else 1.0
-    pref = sign / math.factorial(m - 1)
-    terms = []
-    for a in range(0, tr.n_mode + 1):
-        for n in (a, -a) if a else (0,):
-            if n == -lam:
-                continue
-            s = n + lam
-            nk = complex(n) ** (m - 1) if n else (1.0 if m == 1 else 0.0)
-            if nk == 0.0:
-                continue
-            if s > 0:
-                terms.append(nk * q_w**n / (1.0 - q**s))
-            else:
-                # 1/(1 - q^{s}) with s <= -1
-                j = -s
-                terms.append(-nk * q_w**n * q**j / (1.0 - q**j))
-    return pref * stable_sum(terms)
+    return _mode_sum(m, p, tr, e=int(lam), omit=-int(lam))
 
 
 def weier_p_tilde(m: int, p: AnnulusPoint, z: complex, tr: Truncation) -> complex:
     """Ptilde_m(w, z, tau) = ((-1)^m/(m-1)!) sum_{n in Z} n^{m-1} q_w^n / (1 - q_z q^n)."""
-    _check_order(m)
-    q = p.tau.q
-    q_w = p.q_w
-    q_z = phase(z)
-    sign = -1.0 if m % 2 else 1.0
-    pref = sign / math.factorial(m - 1)
-    terms = []
-    for a in range(0, tr.n_mode + 1):
-        for n in (a, -a) if a else (0,):
-            nk = complex(n) ** (m - 1) if n else (1.0 if m == 1 else 0.0)
-            if nk == 0.0:
-                continue
-            if n >= 0:
-                den = 1.0 - q_z * q**n
-                if abs(den) <= tr.tol:
-                    raise PoleHit(f"1 - q_z q^{n} vanished within tolerance")
-                terms.append(nk * q_w**n / den)
-            else:
-                # 1/(1 - q_z q^{-j}) = -(q^j/q_z) / (1 - q^j/q_z)
-                j = -n
-                r = q**j / q_z
-                den = 1.0 - r
-                if abs(den) <= tr.tol:
-                    raise PoleHit(f"1 - q^{j}/q_z vanished within tolerance")
-                terms.append(-nk * (r / q_w**j) / den)
-    return pref * stable_sum(terms)
+    return _mode_sum(m, p, tr, u=phase(z))
 
 
 def weier_p_deformed(k: int, twist: TwistPair, p: AnnulusPoint, tr: Truncation) -> complex:
@@ -118,71 +112,5 @@ def weier_p_deformed(k: int, twist: TwistPair, p: AnnulusPoint, tr: Truncation) 
 
     where the primed sum omits n = 0 exactly when (theta, phi) = (1, 1).
     """
-    _check_order(k)
-    q = p.tau.q
-    lam = twist.lam
-    theta_inv = 1.0 / twist.theta
-    sign = -1.0 if k % 2 else 1.0
-    pref = sign / math.factorial(k - 1)
-    omit_zero = twist.is_trivial
-    terms = []
-    for a in range(0, tr.n_mode + 1):
-        for j in (a, -a) if a else (0,):
-            n = j + lam
-            if n == 0.0 and omit_zero:
-                continue
-            nk = n ** (k - 1) if n else (1.0 if k == 1 else 0.0)
-            if nk == 0.0:
-                continue
-            q_w_n = cmath.exp(TWO_PI_I * p.w * n)
-            if n >= 0.0:
-                den = 1.0 - theta_inv * q**n
-                if abs(den) <= tr.tol:
-                    raise PoleHit(f"1 - theta^{{-1}} q^{n} vanished within tolerance")
-                terms.append(nk * q_w_n / den)
-            else:
-                # 1/(1 - theta^{-1} q^{n}) = -theta q^{-n} / (1 - theta q^{-n}), n < 0
-                r = twist.theta * q ** (-n)
-                den = 1.0 - r
-                if abs(den) <= tr.tol:
-                    raise PoleHit("1 - theta q^{|n|} vanished within tolerance")
-                terms.append(-nk * q_w_n * r / den)
-    return pref * stable_sum(terms)
-
-
-# ---------------------------------------------------------------------------
-# Double-strip evaluators used internally by the Laurent circle fits.  They
-# converge for |Im w| < Im tau, w != 0, which covers small circles around
-# the origin where the annulus forms do not apply.
-# ---------------------------------------------------------------------------
-
-
-def _p1_flipped(w: complex, tau: ModularPoint, tr: Truncation) -> complex:
-    q = tau.q
-    q_w = cmath.exp(TWO_PI_I * w)
-    head = -0.5 - q_w / (1.0 - q_w)
-    terms = []
-    for n in range(1, tr.n_q + 1):
-        for m_ in range(1, tr.n_q // n + 1):
-            terms.append(q ** (n * m_) * (q_w**n - q_w ** (-n)))
-    return head - stable_sum(terms)
-
-
-def _p1_twisted_flipped(lam: int, w: complex, tau: ModularPoint, tr: Truncation) -> complex:
-    # index shift identity: P_{1,lam} = q_w^{-lam} (P_1 + 1/2)
-    q_w = cmath.exp(TWO_PI_I * w)
-    return q_w ** (-lam) * (_p1_flipped(w, tau, tr) + 0.5)
-
-
-def _p1_tilde_flipped(w: complex, z: complex, tau: ModularPoint, tr: Truncation) -> complex:
-    q = tau.q
-    q_w = cmath.exp(TWO_PI_I * w)
-    q_z = phase(z)
-    if abs(1.0 - q_z) <= tr.tol:
-        raise PoleHit("Ptilde_1 strip form has a pole at q_z = 1")
-    head = -1.0 / (1.0 - q_z) - q_w / (1.0 - q_w)
-    terms = []
-    for n in range(1, tr.n_q + 1):
-        for m_ in range(1, tr.n_q // n + 1):
-            terms.append(q ** (n * m_) * (q_w**n * q_z**m_ - q_w ** (-n) * q_z ** (-m_)))
-    return head - stable_sum(terms)
+    omit = 0.0 if twist.is_trivial else None
+    return _mode_sum(k, p, tr, u=1.0 / twist.theta, lam=twist.lam, omit=omit)

@@ -277,3 +277,39 @@ def test_verify_report_is_sorted_json_with_newline():
 def test_missing_request_file_exits_two(tmp_path):
     r = run_cli("reduce", "--request", str(tmp_path / "absent.json"))
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--fn", "P", "--m", "0", "--w", "0.1+0.2i", "--tau", "0.5i"),
+        ("--fn", "laurentP", "--k", "13", "--tau", "0.5i"),
+        ("--fn", "E", "--k", "-2", "--tau", "0.5i"),
+        ("--fn", "B", "--k", "-1"),
+        ("--fn", "P", "--m", "120", "--w", "0.1+0.2i", "--tau", "0.5i", "--nmode", "4096"),
+    ],
+    ids=["P_order_zero", "laurent_order_13", "E_negative_index", "B_negative_index", "P_overflow"],
+)
+def test_eval_out_of_domain_is_typed_error(args):
+    r = run_cli("eval", *args)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "Traceback" not in r.stderr
+    assert json.loads(r.stdout)["error"]["type"] == "DomainViolation"
+
+
+@pytest.mark.parametrize(
+    "entry, env, field",
+    [
+        ({"fn": "E", "k": "x", "tau": [0, 0.5]}, None, "k"),
+        ({"fn": "P", "m": 1, "w": "w", "tau": [0, 0.5]}, None, "w"),
+        ({"fn": "Etwist", "k": 2, "lam": [1], "tau": [0, 0.5]}, None, "lam"),
+        ({"fn": "E", "k": 4, "tau": [0, 0.5]}, {"JRL_DEFAULT_NQ": "x"}, "JRL_DEFAULT_NQ"),
+    ],
+    ids=["k", "w", "lam", "env_nq"],
+)
+def test_eval_rejects_malformed_values(tmp_path, entry, env, field):
+    doc = {"schema": 1, "evals": [entry]}
+    r = run_cli("eval", env_extra=env, request=doc, tmp_path=tmp_path)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "Traceback" not in r.stderr
+    assert "malformed" in r.stderr and field in r.stderr

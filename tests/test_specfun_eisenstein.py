@@ -3,6 +3,7 @@ import math
 import pytest
 
 import oracles
+from jrl.errors import DomainViolation
 from jrl.specfun import (
     ModularPoint,
     Truncation,
@@ -122,5 +123,5 @@ def test_twisted_p1_coefficient_lam_zero():
 
 
 def test_twisted_p1_coefficient_rejects_zero_index():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainViolation):
         p1_twisted_series_coefficient(0, 1.0, HALF_I, TR)

@@ -1,5 +1,8 @@
+import cmath
 import math
 
+import mpmath
+import numpy as np
 import pytest
 
 import oracles
@@ -21,6 +24,9 @@ from jrl.specfun import (
     weier_p_tilde,
     weier_p_twisted,
 )
+from jrl.specfun.laurent import _neumaier_columns
+from jrl.specfun.points import MAX_NMODE, MAX_NQ
+from jrl.specfun.series import stable_sum
 
 TR = Truncation(n_q=48, n_mode=96, tol=1e-14)
 HALF_I = ModularPoint(0.5j)
@@ -82,6 +88,80 @@ def test_p_deformed_trivial_twist_matches_twisted():
         assert abs(a - b) < 1e-12
 
 
+DEFORMED_PAIRS = [
+    (theta, phi)
+    for theta in (cmath.exp(0.3j), -1.0 + 0.0j)
+    for phi in (-1.0 + 0.0j, cmath.exp(0.7j), 1.0 + 0.0j)
+]
+
+
+@pytest.mark.parametrize("theta, phi", DEFORMED_PAIRS)
+def test_p_deformed_shift_identities(theta, phi):
+    # n = j + lam turns the deformed sum into the tilde sum at
+    # q_z = theta^{-1} q^lam, i.e. z = lam tau - log(theta)/(2 pi i)
+    tw = TwistPair.from_theta_phi(theta, phi)
+    lam = tw.lam
+    z = lam * HALF_I.tau - cmath.log(tw.theta) / (2j * math.pi)
+    q_w_lam = cmath.exp(2j * math.pi * lam * W0)
+    p1 = weier_p_tilde(1, pt(W0), z, TR)
+    p2 = weier_p_tilde(2, pt(W0), z, TR)
+    assert abs(weier_p_deformed(1, tw, pt(W0), TR) - q_w_lam * p1) < 1e-12
+    assert abs(weier_p_deformed(2, tw, pt(W0), TR) - q_w_lam * (p2 - lam * p1)) < 1e-12
+
+
+def reference_mode_sum(m, p, tr, u=1.0, e=0, lam=0.0, omit=None):
+    """The truncated sum ((-1)^m/(m-1)!) sum_{|n - lam| <= n_mode, n != omit}
+    n^{m-1} q_w^n / (1 - u q^{n+e}), term by term in mpmath at 40 digits."""
+    with mpmath.workdps(40):
+        q = mpmath.mpc(p.tau.q)
+        total = mpmath.mpc(0)
+        for j in range(-tr.n_mode, tr.n_mode + 1):
+            n = j + mpmath.mpf(lam)
+            if n == omit or (n == 0 and m > 1):
+                continue
+            q_w_n = mpmath.exp(2j * mpmath.pi * n * p.w)
+            total += n ** (m - 1) * q_w_n / (1 - u * mpmath.power(q, n + e))
+        return complex((-1) ** m / mpmath.factorial(m - 1) * total)
+
+
+TW = TwistPair.from_theta_phi(cmath.exp(0.3j), cmath.exp(0.7j))
+TAU_G = ModularPoint(0.2 + 0.7j)
+# w close to the upper boundary at n_mode 96: q^n and q_w^n underflow
+EDGE = (AnnulusPoint(0.3 + 1.4j, ModularPoint(1.5j)), Truncation(n_mode=96))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("point, tr", [(pt(W0), TR), (AnnulusPoint(-0.4 + 0.3j, TAU_G), TR), EDGE])
+def test_kernels_match_reference_mode_sum(m, point, tr):
+    cases = [
+        (weier_p(m, point, tr) + (0.5 if m == 1 else 0.0), dict(omit=0)),
+        (weier_p_twisted(m, 2, point, tr), dict(e=2, omit=-2)),
+        (weier_p_twisted(m, -1, point, tr), dict(e=-1, omit=1)),
+        (weier_p_tilde(m, point, Z0, tr), dict(u=mpmath.exp(2j * mpmath.pi * Z0))),
+        (weier_p_deformed(m, TW, point, tr), dict(u=1 / TW.theta, lam=TW.lam)),
+    ]
+    for got, kw in cases:
+        want = reference_mode_sum(m, point, tr, **kw)
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), kw
+
+
+def test_truncation_orders_are_capped():
+    Truncation(n_q=MAX_NQ, n_mode=MAX_NMODE)
+    with pytest.raises(DomainViolation):
+        Truncation(n_mode=MAX_NMODE + 1)
+    with pytest.raises(DomainViolation):
+        Truncation(n_q=MAX_NQ + 1)
+
+
+def test_column_sums_match_stable_sum():
+    rng = np.random.default_rng(3)
+    terms = rng.normal(size=(40, 5)) * 10.0 ** rng.integers(-12, 12, size=(40, 5))
+    terms = terms + 1j * terms[::-1]
+    got = _neumaier_columns(terms)
+    for s in range(terms.shape[1]):
+        assert got[s] == stable_sum(terms[:, s].tolist())
+
+
 def test_p_tilde_pole_at_lattice_flux():
     with pytest.raises(PoleHit):
         weier_p_tilde(1, pt(W0), 0.5j, TR)  # z = tau sits on the flux lattice
@@ -113,7 +193,7 @@ def test_laurent_fit_tilde_recovers_coefficients():
 
 
 def test_laurent_fit_rejects_unknown_kind():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainViolation):
         laurent_coeffs_p1("nope", {}, HALF_I, 4, TR)
 
 
