@@ -6,7 +6,8 @@ Position convention: a point x enters every formula through its phase
 q_x = exp(2 pi i x); annulus domains are strips in Im x.
 """
 
-from . import reduction, specfun, voa
+import importlib
+
 from .errors import (
     AdmissibilityViolation,
     BranchUnresolved,
@@ -24,3 +25,10 @@ from .errors import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # the subpackages load on first use, so `jrl eval` pays for specfun only
+    if name in ("reduction", "specfun", "voa"):
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

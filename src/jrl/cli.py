@@ -15,57 +15,23 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, replace
-from typing import Callable
+from dataclasses import replace
+from typing import TYPE_CHECKING
 
 from .errors import JrlError
-from .reduction import (
-    JacobiParams,
-    NPointRequest,
-    chain_condition_residual,
-    identity_rec1,
-    identity_v0_sum,
-    identity_zero_res,
-    kz_residual,
-    npoint_oracle,
-    reduce_full,
-    reduction_family,
-    stage_contributions,
-)
-from .specfun.eisenstein import (
-    eisenstein,
-    eisenstein_tilde,
-    eisenstein_twisted,
-    p1_twisted_series_coefficient,
-)
-from .specfun.laurent import laurent_coeffs_p1
-from .specfun.points import (
-    AnnulusPoint,
+from .specfun import (
     ModularPoint,
-    SL2Element,
     Truncation,
     TwistPair,
+    bernoulli,
     default_truncation,
-    phase,
+    laurent_coeffs_p1,
+    specfun_kernel,
 )
-from .specfun.series import bernoulli
-from .specfun.slash import jacobi_slash
-from .specfun.weierstrass import (
-    weier_p,
-    weier_p_deformed,
-    weier_p_tilde,
-    weier_p_twisted,
-)
-from .voa.algebra import (
-    AlgebraElement,
-    AlgebraSpec,
-    BasisState,
-    ModeOp,
-    apply_mode,
-    enumerate_basis,
-)
-from .voa.squarebracket import kappa
-from .voa.trace import TraceWeights, current_state, oscillator_state, partition_function
+
+if TYPE_CHECKING:
+    from .reduction import NPointRequest
+    from .voa import AlgebraElement, AlgebraSpec, BasisState
 
 SCHEMA = 1
 
@@ -124,7 +90,7 @@ def _get(obj: dict, key: str, convert, where: str, default=None):
     value = obj.get(key, default)
     try:
         return convert(value)
-    except (TypeError, ValueError, IndexError, UsageError) as exc:
+    except (TypeError, ValueError, IndexError, OverflowError, UsageError) as exc:
         raise UsageError(f"malformed {where}.{key}: {value!r}") from exc
 
 
@@ -165,6 +131,8 @@ def dump_report(report: dict) -> str:
 
 
 def element_from_json(spec: AlgebraSpec, desc, where: str) -> AlgebraElement:
+    from .voa import AlgebraElement, BasisState, current_state, oscillator_state
+
     if isinstance(desc, str):
         if desc == "1":
             return AlgebraElement.from_state(BasisState())
@@ -189,6 +157,9 @@ def element_from_json(spec: AlgebraSpec, desc, where: str) -> AlgebraElement:
 
 
 def request_from_json(doc: dict) -> NPointRequest:
+    from .reduction import JacobiParams, NPointRequest
+    from .voa import AlgebraSpec
+
     _check_fields(
         doc,
         {"schema", "algebra", "sector", "cap", "params", "insertions", "truncation"},
@@ -332,7 +303,61 @@ def ledger_to_json(ledger) -> dict:
 # eval
 # ---------------------------------------------------------------------------
 
-EVAL_FNS = ("B", "E", "Etwist", "Etilde", "P", "Ptwist", "Ptilde", "Pdef", "laurentP")
+
+def _integer(value) -> int:
+    """An int, or a float without fractional part; anything else, a bool
+    included, is malformed rather than truncated."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _strip_position(value) -> complex:
+    """A position normalised into the fundamental strip (positions are
+    1-periodic)."""
+    w = l2c(value)
+    return complex(w.real - math.floor(w.real), w.imag)
+
+
+# fn -> (specfun_kernel name, fields read after tau, each as (entry field,
+# kernel argument, converter)).  Kernels are named, never held, so every
+# call goes through the bindings of jrl.specfun.
+_K, _M = ("k", "m", _integer), ("m", "m", _integer)
+_W, _Z = ("w", "w", _strip_position), ("z", "z", l2c)
+EVAL_KERNELS = {
+    "E": ("eisenstein", (_K,)),
+    "Etwist": ("eisenstein_twisted", (_K, ("lam", "lam", float))),
+    "Etilde": ("eisenstein_tilde", (_K, _Z)),
+    "P": ("weier_p", (_W, _M)),
+    "Ptwist": ("weier_p_twisted", (_W, _M, ("lam", "lam", _integer))),
+    "Ptilde": ("weier_p_tilde", (_W, _M, _Z)),
+    "Pdef": ("weier_p_deformed", (_W, _K, ("theta", "theta", l2c), ("phi", "phi", l2c))),
+}
+EVAL_FNS = ("B", *EVAL_KERNELS, "laurentP")
+
+
+def _check_row(name: str, parameters: dict, value, residual=None, tolerance=None, ok=True) -> dict:
+    """One entry of a report's checks list."""
+    return {
+        "name": name,
+        "parameters": parameters,
+        "value": value,
+        "residual": residual,
+        "tolerance": tolerance,
+        "pass": ok,
+    }
+
+
+def _write_report(command: str, checks: list[dict], t0: float, timing: bool, **extra) -> int:
+    """Write a command's report; the exit code is 1 when a check failed."""
+    failed = sum(not c["pass"] for c in checks)
+    runtime = round(time.monotonic() - t0, 6) if timing else None
+    summary = {"passed": len(checks) - failed, "failed": failed, "runtime": runtime}
+    report = {"schema": SCHEMA, "command": command, "checks": checks, **extra, "summary": summary}
+    sys.stdout.write(dump_report(report))
+    return 1 if failed else 0
 
 
 def eval_entry(entry: dict, tr: Truncation) -> dict:
@@ -351,94 +376,50 @@ def eval_entry(entry: dict, tr: Truncation) -> dict:
             raise UsageError(f"--fn {fn} needs --{name}")
         return _get(entry, name, convert, "eval entry")
 
-    params: dict = {}
-    error_scale = None
-    if fn == "B":
-        k = need("k", int)
-        b = bernoulli(k)
-        params = {"k": k, "exact": f"{b.numerator}/{b.denominator}"}
-        value = complex(b)
-        error_scale = 0.0
-    else:
-        tau = ModularPoint(need("tau", l2c))
-        params["tau"] = c2l(tau.tau)
-        error_scale = tr.error_scale(tau)
-        if fn == "E":
-            params["k"] = need("k", int)
-            value = eisenstein(params["k"], tau, tr)
-        elif fn == "Etwist":
-            params["k"] = need("k", int)
-            params["lam"] = need("lam", float)
-            value = eisenstein_twisted(params["k"], params["lam"], tau, tr)
-        elif fn == "Etilde":
-            params["k"] = need("k", int)
-            z = need("z", l2c)
-            params["z"] = c2l(z)
-            value = eisenstein_tilde(params["k"], z, tau, tr)
-        elif fn == "laurentP":
-            kind = entry.get("kind", "plain")
-            k = need("k", int)
-            fit_params = {}
-            if kind == "twisted":
-                fit_params["lam"] = params["lam"] = need("lam", int)
-            elif kind == "tilde":
-                fit_params["z"] = need("z", l2c)
-                params["z"] = c2l(fit_params["z"])
-            elif kind != "plain":
-                raise UsageError(f"unknown laurentP kind {kind!r}")
-            fit = laurent_coeffs_p1(kind, fit_params, tau, k, tr)
-            params["kind"] = kind
-            params["k"] = k
-            return {
-                "name": "laurentP",
-                "parameters": params,
-                "value": None,
-                "pole_coefficient": c2l(fit.pole_coefficient),
-                "coefficients": [c2l(c) for c in fit.coefficients],
-                "truncation": {"n_q": tr.n_q, "n_mode": tr.n_mode, "tol": tr.tol},
-                "error_estimate": error_scale,
-                "residual": None,
-                "tolerance": None,
-                "pass": True,
-            }
-        else:
-            w = need("w", l2c)
-            order = "m" if fn in ("P", "Ptwist", "Ptilde") else "k"
-            params[order] = need(order, int)
-            # positions are 1-periodic; normalize into the fundamental strip
-            w = complex(w.real - math.floor(w.real), w.imag)
-            point = AnnulusPoint(w, tau)
-            params["w"] = c2l(w)
-            if fn == "P":
-                value = weier_p(params["m"], point, tr)
-            elif fn == "Ptwist":
-                params["lam"] = need("lam", int)
-                value = weier_p_twisted(params["m"], params["lam"], point, tr)
-            elif fn == "Ptilde":
-                zc = need("z", l2c)
-                params["z"] = c2l(zc)
-                value = weier_p_tilde(params["m"], point, zc, tr)
-            else:  # Pdef
-                twist = TwistPair.from_theta_phi(need("theta", l2c), need("phi", l2c))
-                params["theta"] = c2l(twist.theta)
-                params["phi"] = c2l(twist.phi)
-                value = weier_p_deformed(params["k"], twist, point, tr)
+    def result(params, value, error_estimate, **extra):
+        truncation = {"n_q": tr.n_q, "n_mode": tr.n_mode, "tol": tr.tol}
+        return {**_check_row(fn, params, value), "truncation": truncation,
+                "error_estimate": error_estimate, **extra}
 
-    return {
-        "name": fn,
-        "parameters": params,
-        "value": c2l(value),
-        "truncation": {"n_q": tr.n_q, "n_mode": tr.n_mode, "tol": tr.tol},
-        "error_estimate": error_scale,
-        "residual": None,
-        "tolerance": None,
-        "pass": True,
-    }
+    if fn == "B":
+        k = need("k", _integer)
+        b = bernoulli(k)
+        return result({"k": k, "exact": f"{b.numerator}/{b.denominator}"}, c2l(complex(b)), 0.0)
+
+    tau = ModularPoint(need("tau", l2c))
+    params = {"tau": c2l(tau.tau)}
+    error_scale = tr.error_scale(tau)
+    if fn == "laurentP":
+        kind = entry.get("kind", "plain")
+        k = need("k", _integer)
+        fit_params = {}
+        if kind == "twisted":
+            fit_params["lam"] = params["lam"] = need("lam", _integer)
+        elif kind == "tilde":
+            fit_params["z"] = need("z", l2c)
+            params["z"] = c2l(fit_params["z"])
+        elif kind != "plain":
+            raise UsageError(f"unknown laurentP kind {kind!r}")
+        fit = laurent_coeffs_p1(kind, fit_params, tau, k, tr)
+        params.update(kind=kind, k=k)
+        return result(params, None, error_scale,
+                      pole_coefficient=c2l(fit.pole_coefficient),
+                      coefficients=[c2l(c) for c in fit.coefficients])
+
+    name, fields = EVAL_KERNELS[fn]
+    args = {"tau": tau.tau}
+    for field, arg, convert in fields:
+        args[arg] = need(field, convert)
+    if fn == "Pdef":
+        twist = TwistPair.from_theta_phi(args["theta"], args["phi"])
+        args.update(theta=twist.theta, phi=twist.phi, lam=twist.lam)
+    for field, arg, _ in fields:
+        params[field] = c2l(args[arg]) if isinstance(args[arg], complex) else args[arg]
+    return result(params, c2l(specfun_kernel(name, args, tr)), error_scale)
 
 
 def cmd_eval(args) -> int:
     tr = _truncation_from_args(args)
-    entries: list[dict]
     if args.request:
         with open(args.request, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -451,36 +432,14 @@ def cmd_eval(args) -> int:
     else:
         if args.fn is None:
             raise UsageError("eval needs --fn or --request")
-        entries = [
-            {
-                "fn": args.fn,
-                "k": args.k,
-                "m": args.m,
-                "lam": args.lam,
-                "theta": parse_complex(args.theta) if args.theta else None,
-                "phi": parse_complex(args.phi) if args.phi else None,
-                "w": parse_complex(args.w) if args.w else None,
-                "z": parse_complex(args.z) if args.z else None,
-                "tau": parse_complex(args.tau) if args.tau else None,
-                "kind": args.kind,
-            }
-        ]
-        entries[0] = {k: v for k, v in entries[0].items() if v is not None}
+        entry = {"fn": args.fn, "k": args.k, "m": args.m, "lam": args.lam, "kind": args.kind}
+        for key in ("theta", "phi", "w", "z", "tau"):
+            if getattr(args, key):
+                entry[key] = parse_complex(getattr(args, key))
+        entries = [{k: v for k, v in entry.items() if v is not None}]
 
     t0 = time.monotonic()
-    checks = [eval_entry(e, tr) for e in entries]
-    report = {
-        "schema": SCHEMA,
-        "command": "eval",
-        "checks": checks,
-        "summary": {
-            "passed": len(checks),
-            "failed": 0,
-            "runtime": round(time.monotonic() - t0, 6) if args.timing else None,
-        },
-    }
-    sys.stdout.write(dump_report(report))
-    return 0
+    return _write_report("eval", [eval_entry(e, tr) for e in entries], t0, args.timing)
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +448,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    from .reduction import npoint_oracle, reduce_full, reduction_family, stage_contributions
+
     with open(args.request, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     req = request_from_json(doc)
@@ -511,46 +472,14 @@ def cmd_reduce(args) -> int:
             contribs = stage_contributions(args.variant, base, reduction_family(base), vs, ws)
             value = sum((c.value for c in contribs), 0.0 + 0.0j)
 
-    checks = [
-        {
-            "name": "reduce",
-            "parameters": {"variant": args.variant, "n": req.n},
-            "value": c2l(value),
-            "residual": None,
-            "tolerance": None,
-            "pass": True,
-        }
-    ]
-    failed = 0
+    checks = [_check_row("reduce", {"variant": args.variant, "n": req.n}, c2l(value))]
     if args.oracle:
         ref = npoint_oracle(req)
         rel = abs(value - ref) / max(1.0, abs(ref))
-        ok = rel <= args.tol
-        failed += 0 if ok else 1
         checks.append(
-            {
-                "name": "oracle_match",
-                "parameters": {"oracle": c2l(ref)},
-                "value": c2l(value),
-                "residual": rel,
-                "tolerance": args.tol,
-                "pass": ok,
-            }
+            _check_row("oracle_match", {"oracle": c2l(ref)}, c2l(value), rel, args.tol, rel <= args.tol)
         )
-
-    report = {
-        "schema": SCHEMA,
-        "command": "reduce",
-        "checks": checks,
-        "ledger": ledger_json,
-        "summary": {
-            "passed": len(checks) - failed,
-            "failed": failed,
-            "runtime": round(time.monotonic() - t0, 6) if args.timing else None,
-        },
-    }
-    sys.stdout.write(dump_report(report))
-    return 1 if failed else 0
+    return _write_report("reduce", checks, t0, args.timing, ledger=ledger_json)
 
 
 # ---------------------------------------------------------------------------
@@ -558,350 +487,19 @@ def cmd_reduce(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    suite: str
-    tolerance: float
-    fn: Callable[[Truncation], float]
-
-
-def _fd_derivative(f: Callable[[complex], complex], w: complex, order: int, h: float) -> complex:
-    """order-fold composition of the 5-point central first-derivative stencil."""
-    if order == 0:
-        return f(w)
-    g = lambda u: _fd_derivative(f, u, order - 1, h)
-    return (-g(w + 2 * h) + 8 * g(w + h) - 8 * g(w - h) + g(w - 2 * h)) / (12 * h)
-
-
-def _truncated_product(factors, cap_units: int, q_unit: complex) -> complex:
-    """Evaluate prod (1 + a_i q^{e_i}) keeping exponents <= cap_units."""
-    poly = {0: 1.0 + 0.0j}
-    for e, a in factors:
-        if e > cap_units:
-            continue
-        for k in sorted(poly, reverse=True):
-            ke = k + e
-            if ke <= cap_units:
-                poly[ke] = poly.get(ke, 0.0 + 0.0j) + poly[k] * a
-    return sum(poly[k] * q_unit**k for k in sorted(poly))
-
-
-def _chk_eisenstein_exact(tr: Truncation) -> float:
-    tau = ModularPoint(0.5j)
-    r = abs(eisenstein(0, tau, tr) + 1.0)
-    for k in (3, 5, 7, 9):
-        r = max(r, abs(eisenstein(k, tau, tr)))
-    return r
-
-
-def _chk_twisted_shift(tr: Truncation) -> float:
-    tau = ModularPoint(0.5j)
-    p = AnnulusPoint(0.1 + 0.08j, tau)
-    base = weier_p(1, p, tr) + 0.5
-    r = 0.0
-    for lam in (-2, -1, 0, 1, 2, 3):
-        r = max(r, abs(weier_p_twisted(1, lam, p, tr) - p.q_w ** (-lam) * base))
-    return r
-
-
-def _chk_twisted_expansion(tr: Truncation) -> float:
-    # series coefficients of P_{1,lam} from the shift identity, via the
-    # explicit Cauchy product of exp(-lam u) with 1/u + 1/2 - sum E_j u^{j-1}
-    tau = ModularPoint(0.5j)
-    es = [eisenstein(j, tau, tr) for j in range(0, 9)]
-    r = 0.0
-    for lam in (1, 2):
-        for k in range(1, 9):
-            conv = (-lam) ** k / math.factorial(k) + 0.5 * (-lam) ** (k - 1) / math.factorial(k - 1)
-            for j in range(2, k + 1):
-                conv -= es[j] * (-lam) ** (k - j) / math.factorial(k - j)
-            r = max(r, abs(p1_twisted_series_coefficient(k, lam, tau, tr) + conv))
-    return r
-
-
-def _chk_twisted_laurent(tr: Truncation) -> float:
-    tau = ModularPoint(0.5j)
-    fit = laurent_coeffs_p1("twisted", {"lam": 1}, tau, 6, tr)
-    r = abs(fit.pole_coefficient - 1.0)
-    for k in range(1, 7):
-        r = max(r, abs(fit[k - 1] + p1_twisted_series_coefficient(k, 1, tau, tr)))
-    return r
-
-
-def _chk_tilde_laurent(tr: Truncation) -> float:
-    tau = ModularPoint(0.5j)
-    z = 0.23 - 0.11j
-    fit = laurent_coeffs_p1("tilde", {"z": z}, tau, 6, tr)
-    r = abs(fit.pole_coefficient - 1.0)
-    for k in range(1, 7):
-        r = max(r, abs(fit[k - 1] + eisenstein_tilde(k, z, tau, tr)))
-    return r
-
-
-def _chk_e2_anomaly(tr: Truncation) -> float:
-    tr60 = replace(tr, n_q=max(tr.n_q, 60))
-    tau = 1.0j
-    s = -1.0 / tau
-    e2 = eisenstein(2, ModularPoint(tau), tr60)
-    e2s = eisenstein(2, ModularPoint(s), tr60)
-    return abs(e2s - tau * tau * e2 + tau / (2j * math.pi))
-
-
-def _chk_e4_s_invariance(tr: Truncation) -> float:
-    tr60 = replace(tr, n_q=max(tr.n_q, 60))
-    tau = 0.2 + 0.9j
-    s = -1.0 / tau
-    return abs(eisenstein(4, ModularPoint(s), tr60) - tau**4 * eisenstein(4, ModularPoint(tau), tr60))
-
-
-def _chk_slash_e4(tr: Truncation) -> float:
-    tr60 = replace(tr, n_q=max(tr.n_q, 60))
-    gamma = SL2Element(0, -1, 1, 0)
-    f = lambda z, t: eisenstein(4, ModularPoint(t), tr60)
-    tau = 0.1 + 1.1j
-    got = jacobi_slash(f, 4, 0.0, gamma, (0.0, 0.0), 0.0, tau)
-    return abs(got - eisenstein(4, ModularPoint(tau), tr60))
-
-
-def _chk_p_derivative_chain(tr: Truncation) -> float:
-    tau = ModularPoint(0.5j)
-    w0 = 0.31 + 0.07j
-    h = 1e-3
-    two_pi_i = 2j * math.pi
-    r = 0.0
-    fams = [
-        (lambda u: weier_p(1, AnnulusPoint(u, tau), tr), lambda m, u: weier_p(m, AnnulusPoint(u, tau), tr)),
-        (
-            lambda u: weier_p_tilde(1, AnnulusPoint(u, tau), 0.23 - 0.11j, tr),
-            lambda m, u: weier_p_tilde(m, AnnulusPoint(u, tau), 0.23 - 0.11j, tr),
-        ),
-    ]
-    for f1, fm in fams:
-        for m in range(1, 5):
-            want = fm(m + 1, w0)
-            got = (-1) ** m / math.factorial(m) * _fd_derivative(f1, w0, m, h) / two_pi_i**m
-            r = max(r, abs(got - want) / max(1.0, abs(want)))
-    return r
-
-
-def _chk_heisenberg_partition(tr: Truncation) -> float:
-    spec = AlgebraSpec(kind="heisenberg", rank=1)
-    alpha = 0.4
-    cap = 12
-    module = enumerate_basis(spec, (alpha,), cap)
-    tau = ModularPoint(0.5j)
-    z = 0.23 - 0.11j
-    got = partition_function(module, tau, TraceWeights(flux_z=z))
-    q = tau.q
-    poly = [1.0 + 0.0j] + [0.0j] * cap
-    for n in range(1, cap + 1):
-        # multiply by 1/(1-q^n) = sum_j q^{jn}
-        for k in range(n, cap + 1):
-            poly[k] += poly[k - n]
-    series = sum(poly[k] * q**k for k in range(cap + 1))
-    want = phase(z * alpha + tau.tau * alpha * alpha / 2.0) * series
-    return abs(got - want) / max(1.0, abs(want))
-
-
-def _chk_real_fermion_partition(tr: Truncation) -> float:
-    spec = AlgebraSpec(kind="real_fermion", grading="natural")
-    cap = 11.5
-    module = enumerate_basis(spec, (), cap)
-    tau = ModularPoint(0.5j)
-    got = partition_function(module, tau, TraceWeights())
-    qh = phase(tau.tau / 2.0)
-    units = int(2 * cap)
-    want = _truncated_product(
-        [(2 * n - 1, 1.0 + 0.0j) for n in range(1, units + 2)], units, qh
-    )
-    sup = partition_function(module, tau, TraceWeights(supertrace=True))
-    want_sup = _truncated_product(
-        [(2 * n - 1, -1.0 + 0.0j) for n in range(1, units + 2)], units, qh
-    )
-    return max(abs(got - want), abs(sup - want_sup)) / max(1.0, abs(want))
-
-
-def _chk_complex_fermion_flux(tr: Truncation) -> float:
-    spec = AlgebraSpec(kind="complex_fermion", grading="charge_shifted")
-    cap = 12
-    module = enumerate_basis(spec, (), cap)
-    tau = ModularPoint(0.5j)
-    z = 0.23 - 0.11j
-    zeta = phase(z)
-    got = partition_function(module, tau, TraceWeights(flux_z=z))
-    factors = [(n, zeta) for n in range(1, cap + 1)]
-    factors += [(n - 1, 1.0 / zeta) for n in range(1, cap + 2)]
-    want = _truncated_product(factors, cap, tau.q)
-    return abs(got - want) / max(1.0, abs(want))
-
-
-def _chk_kappa_reference(tr: Truncation) -> float:
-    r = abs(kappa(1.0, -1, 1) + 1.0 / 12.0)
-    r = max(r, abs(kappa(1.0, -1, 0) - 0.5))
-    r = max(r, abs(kappa(1.0, 0, 1)))
-    return r
-
-
-def _chk_mode_commutator(tr: Truncation) -> float:
-    spec = AlgebraSpec(kind="heisenberg", rank=1)
-    module = enumerate_basis(spec, (0.3,), 6)
-    up = ModeOp("a", -2)
-    dn = ModeOp("a", 2)
-    r = 0.0
-    for s in module.states:
-        if module.level(s) > 4:
-            continue  # keep a(-2) images inside the cap
-        x = AlgebraElement.from_state(s)
-        lhs = apply_mode(dn, apply_mode(up, x, module), module)
-        rhs = apply_mode(up, apply_mode(dn, x, module), module).plus(x.scaled(2.0))
-        r = max(r, lhs.plus(rhs.scaled(-1.0)).norm1())
-    return r
-
-
-def _heis_request(tr: Truncation, cap: float = 8.0, n: int = 1) -> NPointRequest:
-    spec = AlgebraSpec(kind="heisenberg", rank=1)
-    params = JacobiParams(z=0.23 - 0.11j, tau=ModularPoint(0.5j))
-    ws = [0.12j, 0.31j][:n]
-    ins = tuple((current_state(spec), w) for w in ws)
-    return NPointRequest(
-        spec=spec, sector=(0.6,), cap=cap, insertions=ins, params=params, truncation=tr
-    )
-
-
-def _chk_one_point_current(tr: Truncation) -> float:
-    req = _heis_request(tr)
-    value, _ = reduce_full(req)
-    ref = npoint_oracle(req)
-    return abs(value - ref) / max(1.0, abs(ref))
-
-
-def _chk_v0_sum(tr: Truncation) -> float:
-    spec = AlgebraSpec(kind="complex_fermion", grading="charge_shifted")
-    params = JacobiParams(z=0.23 - 0.11j, tau=ModularPoint(0.5j), supertrace=True)
-    req = NPointRequest(
-        spec=spec,
-        sector=(),
-        cap=8.0,
-        insertions=(
-            (oscillator_state("b", 1), 0.12j),
-            (oscillator_state("c", 1), 0.31j),
-        ),
-        params=params,
-        truncation=tr,
-    )
-    return identity_v0_sum(req, current_state(spec))
-
-
-def _chk_rec1(tr: Truncation) -> float:
-    return identity_rec1(_heis_request(tr), current_state(AlgebraSpec(kind="heisenberg", rank=1)), 1)
-
-
-def _chk_zero_res(tr: Truncation) -> float:
-    spec = AlgebraSpec(kind="complex_fermion", grading="charge_shifted")
-    tau = ModularPoint(0.5j)
-    params = JacobiParams(z=tau.tau, tau=tau, supertrace=True)
-    req = NPointRequest(
-        spec=spec,
-        sector=(),
-        cap=10.0,
-        insertions=((oscillator_state("c", 1), 0.2j),),
-        params=params,
-        truncation=tr,
-    )
-    return identity_zero_res(req, oscillator_state("b", 1))
-
-
-def _chk_chain(tr: Truncation) -> float:
-    spec = AlgebraSpec(kind="heisenberg", rank=2)
-    params = JacobiParams(z=0.23 - 0.11j, tau=ModularPoint(0.5j))
-    base = NPointRequest(
-        spec=spec,
-        sector=(0.7, 0.0),
-        cap=6.0,
-        insertions=((oscillator_state("a", 1, 0), 0.11j),),
-        params=params,
-        truncation=tr,
-    )
-    return chain_condition_residual(
-        "simplest",
-        oscillator_state("a", 1, 0),
-        oscillator_state("a", 1, 1),
-        reduction_family(base),
-        base,
-        n_samples=4,
-    )
-
-
-def _chk_kz(tr: Truncation) -> float:
-    spec = AlgebraSpec(kind="heisenberg", rank=1)
-    base = _heis_request(tr)
-    return kz_residual(base, current_state(spec), 0.31j)
-
-
-CHECKS: tuple[Check, ...] = (
-    Check("eisenstein_odd_and_zero_index", "specfun", 0.0, _chk_eisenstein_exact),
-    Check("twisted_shift_identity", "specfun", 1e-12, _chk_twisted_shift),
-    Check("twisted_series_expansion", "specfun", 1e-12, _chk_twisted_expansion),
-    Check("twisted_laurent_fit", "specfun", 1e-8, _chk_twisted_laurent),
-    Check("tilde_laurent_fit", "specfun", 1e-8, _chk_tilde_laurent),
-    Check("e2_modular_anomaly", "specfun", 1e-10, _chk_e2_anomaly),
-    Check("e4_s_invariance", "specfun", 1e-10, _chk_e4_s_invariance),
-    Check("slash_action_e4", "specfun", 1e-10, _chk_slash_e4),
-    Check("p_derivative_chain", "specfun", 1e-6, _chk_p_derivative_chain),
-    Check("heisenberg_partition_product", "voa", 1e-10, _chk_heisenberg_partition),
-    Check("real_fermion_partition_product", "voa", 1e-10, _chk_real_fermion_partition),
-    Check("complex_fermion_flux_product", "voa", 1e-10, _chk_complex_fermion_flux),
-    Check("kappa_reference_values", "voa", 1e-14, _chk_kappa_reference),
-    Check("mode_commutator", "voa", 1e-12, _chk_mode_commutator),
-    Check("one_point_current_match", "reduction", 1e-5, _chk_one_point_current),
-    Check("v0_sum_complex_fermion", "reduction", 1e-10, _chk_v0_sum),
-    Check("rec1_beta_one", "reduction", 1e-6, _chk_rec1),
-    Check("zero_res_lattice_flux", "reduction", 1e-8, _chk_zero_res),
-    Check("chain_cross_flavor", "reduction", 1e-8, _chk_chain),
-    Check("kz_self_consistency", "reduction", 1e-8, _chk_kz),
-)
-
-
 def cmd_verify(args) -> int:
-    if args.suite == "all":
-        selected = list(CHECKS)
-    else:
-        selected = [c for c in CHECKS if c.suite == args.suite]
+    from .checks import CHECKS
+
+    selected = [c for c in CHECKS if args.suite in ("all", c.suite)]
     tr = _truncation_from_args(args)
 
     t0 = time.monotonic()
     residuals = [c.fn(tr) for c in selected]
-
     checks = []
-    failed = 0
     for c, residual in zip(selected, residuals):
         tol = args.tol if args.tol is not None else c.tolerance
-        ok = residual <= tol
-        failed += 0 if ok else 1
-        checks.append(
-            {
-                "name": c.name,
-                "parameters": {"suite": c.suite},
-                "value": None,
-                "residual": residual,
-                "tolerance": tol,
-                "pass": ok,
-            }
-        )
-
-    report = {
-        "schema": SCHEMA,
-        "command": "verify",
-        "checks": checks,
-        "summary": {
-            "passed": len(checks) - failed,
-            "failed": failed,
-            "runtime": round(time.monotonic() - t0, 6) if args.timing else None,
-        },
-    }
-    sys.stdout.write(dump_report(report))
-    return 1 if failed else 0
+        checks.append(_check_row(c.name, {"suite": c.suite}, None, residual, tol, residual <= tol))
+    return _write_report("verify", checks, t0, args.timing)
 
 
 # ---------------------------------------------------------------------------
@@ -957,6 +555,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--timing", action="store_true")
 
     return parser
+
+
+def __getattr__(name: str):
+    # jrl.cli.CHECKS stays importable without loading the checks, and with
+    # them the trace stack, on every start-up
+    if name == "CHECKS":
+        from .checks import CHECKS
+
+        return CHECKS
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def main(argv=None) -> int:

@@ -7,14 +7,8 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 from ..errors import BranchUnresolved, DomainViolation, UnsupportedInsertion
-from ..specfun.eisenstein import eisenstein_tilde, eisenstein_twisted
-from ..specfun.points import AnnulusPoint, ModularPoint, Truncation, TwistPair, phase
-from ..specfun.weierstrass import (
-    weier_p,
-    weier_p_deformed,
-    weier_p_tilde,
-    weier_p_twisted,
-)
+from ..specfun import specfun_kernel
+from ..specfun.points import ModularPoint, Truncation, phase
 from ..voa.algebra import (
     MAX_LEVEL_CAP,
     AlgebraElement,
@@ -182,27 +176,6 @@ def element_weight_charge(spec: AlgebraSpec, v: AlgebraElement) -> tuple[float, 
 # ---------------------------------------------------------------------------
 # Coefficient ledger
 # ---------------------------------------------------------------------------
-
-
-def specfun_kernel(name: str, args: dict, tr: Truncation) -> complex:
-    """Evaluate a named kernel from its arguments: the one kernel dispatch."""
-    if name == "one":
-        return 1.0 + 0.0j
-    tau = ModularPoint(complex(*args["tau"]) if isinstance(args["tau"], list) else args["tau"])
-    if name == "weier_p":
-        return weier_p(args["m"], AnnulusPoint(args["w"], tau), tr)
-    if name == "weier_p_twisted":
-        return weier_p_twisted(args["m"], args["lam"], AnnulusPoint(args["w"], tau), tr)
-    if name == "weier_p_tilde":
-        return weier_p_tilde(args["m"], AnnulusPoint(args["w"], tau), args["z"], tr)
-    if name == "weier_p_deformed":
-        tw = TwistPair(args["theta"], args["phi"], args["lam"])
-        return weier_p_deformed(args["m"], tw, AnnulusPoint(args["w"], tau), tr)
-    if name == "eisenstein_twisted":
-        return eisenstein_twisted(args["m"], args["lam"], tau, tr)
-    if name == "eisenstein_tilde":
-        return eisenstein_tilde(args["m"], args["z"], tau, tr)
-    raise DomainViolation(f"unknown kernel name {name!r}")
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 from ..errors import DomainViolation, PoleAtTrivialZ
-from .points import ModularPoint, Truncation, phase
+from .points import ModularPoint, Truncation, check_order, phase
 from .series import bernoulli, stable_sum
 
 
@@ -23,6 +23,7 @@ def eisenstein(k: int, tau: ModularPoint, tr: Truncation) -> complex:
     """E_k(tau) truncated at q-order n_q.  Exact -1 at k = 0, exact 0 for odd k."""
     if k < 0:
         raise DomainViolation("Eisenstein index must be nonnegative")
+    check_order(k, "Eisenstein index")
     if k == 0:
         return complex(-1.0)
     if k % 2 == 1:
@@ -42,6 +43,7 @@ def eisenstein_twisted(k: int, lam: float, tau: ModularPoint, tr: Truncation) ->
     """E_{k,lam}(tau) = sum_{j=0}^{k} (lam^j / j!) E_{k-j}(tau)."""
     if k < 0:
         raise DomainViolation("index must be nonnegative")
+    check_order(k, "Eisenstein index")
     return stable_sum(
         (lam**j / math.factorial(j)) * eisenstein(k - j, tau, tr) for j in range(k + 1)
     )
@@ -63,6 +65,7 @@ def p1_twisted_series_coefficient(k: int, lam: float, tau: ModularPoint, tr: Tru
     """
     if k < 1:
         raise DomainViolation("coefficient index starts at 1")
+    check_order(k, "coefficient index")
 
     def estar(j: int) -> complex:
         if j == 1:
@@ -85,6 +88,7 @@ def eisenstein_tilde(k: int, z: complex, tau: ModularPoint, tr: Truncation) -> c
     """
     if k < 0:
         raise DomainViolation("index must be nonnegative")
+    check_order(k, "Eisenstein index")
     if k == 0:
         return complex(-1.0)
     if abs(complex(z).imag) >= tau.tau.imag:

@@ -26,6 +26,15 @@ DEFAULT_TOL = 1e-9
 # n_q log n_q double-sum terms and 2 n_mode + 1 mode-sum terms
 MAX_NQ = 512
 MAX_NMODE = 4096
+# upper bound on a kernel order, Eisenstein index or Bernoulli index: the
+# series divide by (order - 1)! as a float, which overflows past 170
+MAX_ORDER = 128
+
+
+def check_order(order: int, what: str) -> None:
+    """Reject an order or index past MAX_ORDER, before any work is done."""
+    if order > MAX_ORDER:
+        raise DomainViolation(f"{what} {order} exceeds MAX_ORDER = {MAX_ORDER}")
 
 
 def phase(x: complex) -> complex:

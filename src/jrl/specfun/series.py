@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from ..errors import DomainViolation
-from .points import Truncation
+from .points import Truncation, check_order
 
 _BERNOULLI_CACHE: list[Fraction] = [Fraction(1)]
 _BERNOULLI_LOCK = threading.Lock()
@@ -31,6 +31,7 @@ def bernoulli(k: int) -> Fraction:
     """
     if k < 0:
         raise DomainViolation("Bernoulli index must be nonnegative")
+    check_order(k, "Bernoulli index")
     if k < len(_BERNOULLI_CACHE):
         return _BERNOULLI_CACHE[k]
     with _BERNOULLI_LOCK:

@@ -38,7 +38,7 @@ import math
 import numpy as np
 
 from ..errors import DomainViolation, PoleHit
-from .points import TWO_PI_I, AnnulusPoint, Truncation, TwistPair, phase
+from .points import TWO_PI_I, AnnulusPoint, Truncation, TwistPair, check_order, phase
 from .series import stable_sum
 
 
@@ -54,6 +54,7 @@ def _mode_sum(
     """((-1)^m/(m-1)!) sum_{n in Z + lam, n != omit} n^{m-1} q_w^n / (1 - u q^{n+e})."""
     if m < 1:
         raise DomainViolation(f"kernel order must be >= 1, got {m}")
+    check_order(m, "kernel order")
     a = np.arange(1, tr.n_mode + 1, dtype=float)
     j = np.zeros(2 * tr.n_mode + 1)
     j[1::2] = a

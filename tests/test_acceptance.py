@@ -12,6 +12,7 @@ import subprocess
 import sys
 import time
 
+from jrl.checks import fd_derivative
 from jrl.specfun import (
     AnnulusPoint,
     ModularPoint,
@@ -49,14 +50,6 @@ def report(name, residual, tol, elapsed=None):
     stamp = "" if elapsed is None else f"  ({elapsed:.1f}s)"
     print(f"{'PASS' if ok else 'FAIL'}  {name}: residual {residual:.3e} vs {tol:.0e}{stamp}")
     return ok
-
-
-def fd_derivative(f, w0, order, h):
-    # 4th-order 5-point first-derivative stencil, composed for higher orders
-    if order == 0:
-        return f(w0)
-    g = lambda u: fd_derivative(f, u, order - 1, h)
-    return (-g(w0 + 2 * h) + 8 * g(w0 + h) - 8 * g(w0 - h) + g(w0 - 2 * h)) / (12 * h)
 
 
 def test_criterion_1_special_function_identities():

@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from jrl.specfun.points import MAX_ORDER
+
 BASE_REQUEST = {
     "schema": 1,
     "algebra": {"kind": "heisenberg", "rank": 1},
@@ -287,8 +289,14 @@ def test_missing_request_file_exits_two(tmp_path):
         ("--fn", "E", "--k", "-2", "--tau", "0.5i"),
         ("--fn", "B", "--k", "-1"),
         ("--fn", "P", "--m", "120", "--w", "0.1+0.2i", "--tau", "0.5i", "--nmode", "4096"),
+        ("--fn", "E", "--k", str(MAX_ORDER + 1), "--tau", "0.5i"),
+        ("--fn", "P", "--m", str(MAX_ORDER + 1), "--nmode", "2", "--w", "0.1+0.2i", "--tau", "0.5i"),
+        ("--fn", "B", "--k", str(MAX_ORDER + 1)),
     ],
-    ids=["P_order_zero", "laurent_order_13", "E_negative_index", "B_negative_index", "P_overflow"],
+    ids=[
+        "P_order_zero", "laurent_order_13", "E_negative_index", "B_negative_index", "P_overflow",
+        "E_past_max_order", "P_past_max_order", "B_past_max_order",
+    ],
 )
 def test_eval_out_of_domain_is_typed_error(args):
     r = run_cli("eval", *args)
@@ -304,8 +312,13 @@ def test_eval_out_of_domain_is_typed_error(args):
         ({"fn": "P", "m": 1, "w": "w", "tau": [0, 0.5]}, None, "w"),
         ({"fn": "Etwist", "k": 2, "lam": [1], "tau": [0, 0.5]}, None, "lam"),
         ({"fn": "E", "k": 4, "tau": [0, 0.5]}, {"JRL_DEFAULT_NQ": "x"}, "JRL_DEFAULT_NQ"),
+        ({"fn": "E", "k": 2.7, "tau": [0, 0.5]}, None, "k"),
+        ({"fn": "P", "m": True, "w": [0.1, 0.2], "tau": [0, 0.5]}, None, "m"),
+        ({"fn": "Ptwist", "m": 1, "lam": 2.5, "w": [0.1, 0.2], "tau": [0, 0.5]}, None, "lam"),
+        ({"fn": "laurentP", "kind": "twisted", "lam": 1.5, "k": 4, "tau": [0, 0.5]}, None, "lam"),
+        ({"fn": "B", "k": "4"}, None, "k"),
     ],
-    ids=["k", "w", "lam", "env_nq"],
+    ids=["k", "w", "lam", "env_nq", "k_fraction", "m_bool", "Ptwist_lam", "laurentP_lam", "k_string"],
 )
 def test_eval_rejects_malformed_values(tmp_path, entry, env, field):
     doc = {"schema": 1, "evals": [entry]}

@@ -25,8 +25,8 @@ from jrl.specfun import (
     weier_p_twisted,
 )
 from jrl.specfun.laurent import _neumaier_columns
-from jrl.specfun.points import MAX_NMODE, MAX_NQ
-from jrl.specfun.series import stable_sum
+from jrl.specfun.points import MAX_NMODE, MAX_NQ, MAX_ORDER
+from jrl.specfun.series import bernoulli, stable_sum
 
 TR = Truncation(n_q=48, n_mode=96, tol=1e-14)
 HALF_I = ModularPoint(0.5j)
@@ -151,6 +151,26 @@ def test_truncation_orders_are_capped():
         Truncation(n_mode=MAX_NMODE + 1)
     with pytest.raises(DomainViolation):
         Truncation(n_q=MAX_NQ + 1)
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda k: bernoulli(k),
+        lambda k: eisenstein(k, HALF_I, TR),
+        lambda k: eisenstein_twisted(k, 0.5, HALF_I, TR),
+        lambda k: eisenstein_tilde(k, Z0, HALF_I, TR),
+        lambda k: p1_twisted_series_coefficient(k, 1, HALF_I, TR),
+        lambda k: weier_p(k, pt(W0), TR),
+        lambda k: weier_p_twisted(k, 1, pt(W0), TR),
+        lambda k: weier_p_tilde(k, pt(W0), Z0, TR),
+        lambda k: weier_p_deformed(k, TwistPair.from_theta_phi(1j, -1.0), pt(W0), TR),
+    ],
+    ids=["bernoulli", "E", "Etwist", "Etilde", "P1twist_coefficient", "P", "Ptwist", "Ptilde", "Pdef"],
+)
+def test_orders_are_capped(evaluate):
+    with pytest.raises(DomainViolation, match="MAX_ORDER"):
+        evaluate(MAX_ORDER + 1)
 
 
 def test_column_sums_match_stable_sum():
