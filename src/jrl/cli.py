@@ -99,15 +99,15 @@ def _floats(value) -> tuple[float, ...]:
 
 
 def _shift_pair(value) -> tuple[int, int] | None:
-    return None if value is None else (int(value[0]), int(value[1]))
+    return None if value is None else (_integer(value[0]), _integer(value[1]))
 
 
 def _truncation_from_json(t, tr: Truncation, where: str) -> Truncation:
     """A truncation document over the defaults tr."""
     _check_fields(t, {"n_q", "n_mode", "tol"}, set(), where)
     return Truncation(
-        n_q=_get(t, "n_q", int, where, tr.n_q),
-        n_mode=_get(t, "n_mode", int, where, tr.n_mode),
+        n_q=_get(t, "n_q", _integer, where, tr.n_q),
+        n_mode=_get(t, "n_mode", _integer, where, tr.n_mode),
         tol=_get(t, "tol", float, where, tr.tol),
     )
 
@@ -175,7 +175,7 @@ def request_from_json(doc: dict) -> NPointRequest:
     )
     spec = AlgebraSpec(
         kind=alg["kind"],
-        rank=_get(alg, "rank", int, "request.algebra", 1),
+        rank=_get(alg, "rank", _integer, "request.algebra", 1),
         current=_get(alg, "current", _floats, "request.algebra") if "current" in alg else None,
         grading=alg.get("grading", "natural"),
     )

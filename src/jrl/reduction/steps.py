@@ -13,13 +13,13 @@ with kernel family K chosen by branch:
   lattice     alpha z = lam tau + mu: K_{m+1} = P_{m+1,lam}(w_diff, tau) plus
               the zero-mode term e(-w_{n+1} lam) Tr(o_lam(v_{n+1}) Y(...) ...).
   deformed    non-integer weight: K_{m+1} = P_{m+1}[theta; phi](w_diff, tau)
-              with theta = zeta^{-alpha}, phi = e(wt); the displayed terms
-              carry the parity factor p(v_{n+1}, v_1..v_{k-1}).
+              with theta = zeta^{-alpha}, phi = e(wt).
 
-All right-hand terms additionally carry the global sign (-1)^{p(v_{n+1})}
-fixed by matching direct supertraces of fermion two-point functions; the
-deformed branch keeps its displayed pairwise parity factor on top of it,
-the other two branches have none.
+In every branch the term of slot k carries the parity factor
+(-1)^{p(v_{n+1}) (p(v_1) + ... + p(v_{k-1}))} of moving v_{n+1} past the
+slots before it, and all right-hand terms carry the global sign
+(-1)^{p(v_{n+1})} fixed by matching direct supertraces of fermion
+two-point functions.
 
 This right-hand side is written down once, as the stage table
 `stage_rows`: `reduce_step` wraps its "simplest" rows with child requests
@@ -41,8 +41,8 @@ from ..errors import (
     UnsupportedInsertion,
 )
 from ..specfun.points import AnnulusPoint, TwistPair, phase
-from ..voa.algebra import VACUUM, AlgebraElement, AlgebraSpec, state_level
-from ..voa.squarebracket import shifted_square_bracket_image, square_bracket_image
+from ..voa.algebra import VACUUM, AlgebraElement, AlgebraSpec
+from ..voa.squarebracket import last_mode, shifted_square_bracket_image, square_bracket_image
 from ..voa.trace import graded_trace, partition_function
 from .types import (
     Branch,
@@ -108,7 +108,7 @@ def bracket_images(
 ):
     """Yield (k, m, v[m].x_k, sign) for every nonzero image, k from 1 and m rising.
 
-    m runs from `first` to `last`, by default to ceil(level(x_k) + wt + 2),
+    m runs from `first` to `last`, by default to `last_mode(spec, wt, x_k)`,
     past which v[m] annihilates x_k; with `shift` the lattice-shifted modes
     v[m]_shift are used.  sign = (-1)^{par (p(x_1) + ... + p(x_{k-1}))}.
     The parity of x_k is read after its images when a later sign needs it,
@@ -117,11 +117,7 @@ def bracket_images(
     prefix = 0
     for k, x in enumerate(elements, start=1):
         sign = -1.0 if par and prefix % 2 else 1.0
-        if last is None:
-            level = max(state_level(spec, s) for s in x.terms) if not x.is_zero() else 0
-            stop = int(math.ceil(level + wt + 2))
-        else:
-            stop = last
+        stop = last_mode(spec, wt, x) if last is None else last
         for m in range(first, stop + 1):
             if shift is None:
                 img = square_bracket_image(vac, v, m, x)
@@ -255,7 +251,7 @@ def stage_rows(variant: str, context: NPointRequest, vs: tuple, ws: tuple):
             spec, v_d, wt_d, par_d, base_vs, shift=shift, strict=True
         ):
             name, args = kernel_spec(m + 1, tau.tau, w_d - base_ws[k - 1], k_branch, k_twist, az)
-            scale = global_sign * sign if deformed else global_sign
+            scale = global_sign * sign
             yield "kernel", k, m, name, args, scale, specfun_kernel(name, args, tr), img, None
 
     return branch, phi, theta, rows()

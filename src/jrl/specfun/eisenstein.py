@@ -7,16 +7,40 @@ Normalization: for even k >= 2
 E_k = 0 for odd k, and E_0 = -1.  Lambert factors are expanded as
 geometric series and truncated at total q-order n_q; terms are added in
 a fixed order (outer index ascending) with compensated summation, so
-results are independent of any caller-side parallelism.
+results are independent of any caller-side parallelism.  No factor of a
+term is formed on its own where it could overflow: n^{k-1} past the float
+range stays an exact integer until it meets its q-power (`_times_int`),
+and the flux enters through bases of modulus below 1.  A term or sum that
+is itself not finite raises DomainViolation.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 from ..errors import DomainViolation, PoleAtTrivialZ
 from .points import ModularPoint, Truncation, check_order, phase
 from .series import bernoulli, stable_sum
+
+
+def _times_int(n: int, c: complex) -> complex:
+    """n * c for an integer n past the float range: n is cut to its leading
+    bits and the power of two put back with ldexp, so only a product that
+    is itself not finite raises."""
+    e = n.bit_length() - 1000
+    x = float(n >> e) * c
+    try:
+        return complex(math.ldexp(x.real, e), math.ldexp(x.imag, e))
+    except OverflowError:
+        raise DomainViolation("an Eisenstein series term overflows the float range") from None
+
+
+def _finite(value: complex, k: int, tr: Truncation) -> complex:
+    """value, unless the series sum is not finite."""
+    if not cmath.isfinite(value):
+        raise DomainViolation(f"Eisenstein series overflows at index {k} and n_q {tr.n_q}")
+    return value
 
 
 def eisenstein(k: int, tau: ModularPoint, tr: Truncation) -> complex:
@@ -32,11 +56,15 @@ def eisenstein(k: int, tau: ModularPoint, tr: Truncation) -> complex:
     pref = 2.0 / math.factorial(k - 1)
     terms = []
     for n in range(1, tr.n_q + 1):
-        nk = float(n) ** (k - 1)
         qn = q**n
+        try:
+            nk = float(n) ** (k - 1)
+        except OverflowError:
+            nk = None
         for m in range(1, tr.n_q // n + 1):
-            terms.append(nk * qn**m)
-    return complex(-float(bernoulli(k)) / math.factorial(k)) + pref * stable_sum(terms)
+            terms.append(nk * qn**m if nk is not None else _times_int(n ** (k - 1), qn**m))
+    head = complex(-float(bernoulli(k)) / math.factorial(k))
+    return _finite(head + pref * stable_sum(terms), k, tr)
 
 
 def eisenstein_twisted(k: int, lam: float, tau: ModularPoint, tr: Truncation) -> complex:
@@ -81,7 +109,7 @@ def eisenstein_tilde(k: int, z: complex, tau: ModularPoint, tr: Truncation) -> c
     """Flux-deformed E-series Etilde_k(z, tau); Etilde_0 = -1.
 
     Etilde_k = -[k=1] q_z/(q_z - 1) - B_k/k!
-               + (1/(k-1)!) sum_{m,n>=1} n^{k-1} (q_z^m + (-1)^k q_z^{-m}) q^{mn}.
+               + (1/(k-1)!) sum_{m,n>=1} n^{k-1} ((q^n q_z)^m + (-1)^k (q^n/q_z)^m).
 
     Requires |Im z| < Im tau for the double series; the k = 1 term has a
     pole at q_z = 1.
@@ -104,10 +132,15 @@ def eisenstein_tilde(k: int, z: complex, tau: ModularPoint, tr: Truncation) -> c
     pref = 1.0 / math.factorial(k - 1)
     terms = []
     for n in range(1, tr.n_q + 1):
-        nk = float(n) ** (k - 1)
+        up, down = q**n * q_z, q**n / q_z
+        try:
+            nk = float(n) ** (k - 1)
+        except OverflowError:
+            nk = None
         for m in range(1, tr.n_q // n + 1):
-            terms.append(nk * (q_z**m + sign * q_z ** (-m)) * q ** (m * n))
-    return head + pref * stable_sum(terms)
+            flux = up**m + sign * down**m
+            terms.append(nk * flux if nk is not None else _times_int(n ** (k - 1), flux))
+    return _finite(head + pref * stable_sum(terms), k, tr)
 
 
 def eisenstein_tilde_series_coefficient(

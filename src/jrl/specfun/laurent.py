@@ -34,11 +34,6 @@ class LaurentFit:
     pole_coefficient: complex
     coefficients: tuple[complex, ...]
 
-    @property
-    def pole_residue(self) -> complex:
-        """Residue of f at w = 0 in the w variable."""
-        return self.pole_coefficient / TWO_PI_I
-
     def __len__(self) -> int:
         return len(self.coefficients)
 
@@ -76,11 +71,13 @@ def _p1_strip(
 
     The double-strip form
 
-        head - q_w/(1 - q_w) - sum_{n m <= n_q} q^{n m} (q_w^n q_z^m - q_w^{-n} q_z^{-m}),
+        head - q_w/(1 - q_w) - sum_{n m <= n_q} (q_w^n (q^n q_z)^m - q_w^{-n} (q^n/q_z)^m),
 
     with head = -1/2 for P_1 and -1/(1 - q_z) for Ptilde_1, converges for
-    |Im w| < Im tau, w != 0: small circles around the origin, where the
-    annulus forms do not apply.  Terms run over n ascending, then m.
+    |Im w| < Im tau, w != 0, and |Im z| < Im tau: small circles around the
+    origin, where the annulus forms do not apply.  The flux enters through
+    the bases q^n q_z and q^n/q_z of modulus below 1, so no factor
+    overflows on its own.  Terms run over n ascending, then m.
     """
     if q_z is None:
         head, q_z = -0.5, 1.0 + 0.0j
@@ -91,10 +88,13 @@ def _p1_strip(
     n = np.concatenate([np.full(tr.n_q // a, a) for a in range(1, tr.n_q + 1)])
     m = np.concatenate([np.arange(1, tr.n_q // a + 1) for a in range(1, tr.n_q + 1)])
     q_w = np.exp(TWO_PI_I * ws)
-    up = q_w[:, None] ** np.arange(tr.n_q + 1)
-    down = 1.0 / up
-    q_nm = tau.q ** (n * m)
-    terms = q_nm * (up[:, n] * q_z**m - down[:, n] * q_z ** (-m))
+    q_n = tau.q**n
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        up = q_w[:, None] ** np.arange(tr.n_q + 1)
+        down = 1.0 / up
+        terms = up[:, n] * (q_n * q_z) ** m - down[:, n] * (q_n / q_z) ** m
+    if not np.isfinite(terms).all():
+        raise DomainViolation(f"strip terms overflow at n_q {tr.n_q} and Im tau {tau.tau.imag}")
     return head - q_w / (1.0 - q_w) - _neumaier_columns(terms.T)
 
 
@@ -125,7 +125,12 @@ def laurent_coeffs_p1(
     n_coeffs = min(K + 6, n_samples - 1)
 
     ws = rho * np.exp(TWO_PI_I * (np.arange(n_samples) + 0.5) / n_samples)
-    q_z = phase(complex(params["z"])) if kind == "tilde" else None
+    q_z = None
+    if kind == "tilde":
+        z = complex(params["z"])
+        if abs(z.imag) >= tau.tau.imag:
+            raise DomainViolation(f"need |Im z| < Im tau; got z={z}, tau={tau.tau}")
+        q_z = phase(z)
     values = _p1_strip(ws, tau, tr, q_z)
     if kind == "twisted":
         # index shift identity: P_{1,lam} = q_w^{-lam} (P_1 + 1/2)

@@ -69,8 +69,16 @@ def _mode_sum(
     pos = s >= 0.0
     q = p.tau.q
     q_w = phase(p.w)
+    # q ** x takes the principal branch, e(tau' x) with tau' = tau - k and
+    # Re tau' in (-1/2, 1/2]; e(k x) restores e(tau x) for fractional x,
+    # which s holds only for fractional lam
+    k = round(p.tau.tau.real - cmath.phase(q) / (2.0 * math.pi)) if lam % 1 else 0
+    q_s, q_lift = q ** np.abs(s), q ** (-lam - e)
+    if k:
+        q_s = q_s * np.exp(TWO_PI_I * ((k * np.abs(s)) % 1.0))
+        q_lift *= phase(k * (-lam - e))
     # 1/(1 - u q^s) = -r/(1 - r) with r = q^{-s}/u when s < 0
-    r = q ** np.abs(s) * np.where(pos, u, 1.0 / u)
+    r = q_s * np.where(pos, u, 1.0 / u)
     den = 1.0 - r
     hit = np.abs(den) <= tr.tol
     if hit.any():
@@ -79,7 +87,7 @@ def _mode_sum(
     # integer power of q_w or q/q_w, bases of modulus below 1, so nothing
     # overflows; the powers of q_w = phase(w) are exactly 1-periodic in w
     base = np.where(pos, q_w, q / q_w) ** np.where(pos, j, -j)
-    num = base * np.where(pos, 1.0, -(q ** (-lam - e)) / u)
+    num = base * np.where(pos, 1.0, -q_lift / u)
     with np.errstate(over="ignore", invalid="ignore"):
         terms = n ** (m - 1) * cmath.exp(TWO_PI_I * lam * p.w) * num / den
     if not np.isfinite(terms).all():

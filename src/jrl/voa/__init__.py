@@ -12,7 +12,6 @@ from .algebra import (
     current_zero_mode_scalar,
     enumerate_basis,
     sector_weight,
-    single_mode_of_state,
     state_charge,
     state_level,
     zero_mode_operator,
@@ -56,7 +55,6 @@ __all__ = [
     "partition_function",
     "sector_weight",
     "shifted_square_bracket_image",
-    "single_mode_of_state",
     "square_bracket_image",
     "state_charge",
     "state_level",

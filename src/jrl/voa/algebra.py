@@ -141,22 +141,17 @@ def sector_weight(spec: AlgebraSpec, sector: tuple[float, ...]) -> float:
 
 
 class AlgebraElement:
-    """Finite linear combination of basis states.
+    """Finite linear combination of basis states."""
 
-    The `truncated` flag records that some image states were dropped at the
-    module level cap during construction of this element.
-    """
+    __slots__ = ("terms",)
 
-    __slots__ = ("terms", "truncated")
-
-    def __init__(self, terms: dict[BasisState, complex] | None = None, truncated: bool = False):
+    def __init__(self, terms: dict[BasisState, complex] | None = None):
         self.terms: dict[BasisState, complex] = dict(terms) if terms else {}
-        self.truncated = truncated
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return self.terms == other.terms and self.truncated == other.truncated
+        return self.terms == other.terms
 
     __hash__ = None
 
@@ -177,11 +172,11 @@ class AlgebraElement:
 
     def scaled(self, c: complex) -> "AlgebraElement":
         if c == 0:
-            return AlgebraElement(truncated=self.truncated)
-        return AlgebraElement({s: c * v for s, v in self.terms.items()}, self.truncated)
+            return AlgebraElement()
+        return AlgebraElement({s: c * v for s, v in self.terms.items()})
 
     def plus(self, other: "AlgebraElement") -> "AlgebraElement":
-        out = AlgebraElement(self.terms, self.truncated or other.truncated)
+        out = AlgebraElement(self.terms)
         for s, v in other.terms.items():
             out.add_term(s, v)
         return out
@@ -486,12 +481,10 @@ def _check_mode(op: ModeOp, spec: AlgebraSpec) -> None:
 
 
 def apply_mode(op: ModeOp, x: AlgebraElement, module: ModuleSpace) -> AlgebraElement:
-    """Left action of a single mode on an element, truncated at module.cap.
-
-    Image states above the cap are dropped and flagged on the result.
-    """
+    """Left action of a single mode on an element; image states above
+    module.cap are dropped."""
     spec = module.spec
-    out = AlgebraElement(truncated=x.truncated)
+    out = AlgebraElement()
     cap = module.cap
 
     _check_mode(op, spec)
@@ -500,7 +493,6 @@ def apply_mode(op: ModeOp, x: AlgebraElement, module: ModuleSpace) -> AlgebraEle
             if op.n < 0:
                 l = -op.n
                 if state_level(spec, state) + l > cap:
-                    out.truncated = True
                     continue
                 out.add_term(
                     BasisState(boson=tuple(sorted(state.boson + ((op.flavor, l),)))), coeff
@@ -528,7 +520,6 @@ def apply_mode(op: ModeOp, x: AlgebraElement, module: ModuleSpace) -> AlgebraEle
                 sgn, levels = res
                 new = BasisState(ferm_b=levels)
                 if state_level(spec, new) > cap:
-                    out.truncated = True
                     continue
                 out.add_term(new, coeff * (-1.0) ** sgn)
             else:
@@ -548,7 +539,6 @@ def apply_mode(op: ModeOp, x: AlgebraElement, module: ModuleSpace) -> AlgebraEle
                 sgn, levels = res
                 new = BasisState(ferm_b=levels, ferm_c=state.ferm_c)
                 if state_level(spec, new) > cap:
-                    out.truncated = True
                     continue
                 out.add_term(new, coeff * (-1.0) ** sgn)
             else:
@@ -568,7 +558,6 @@ def apply_mode(op: ModeOp, x: AlgebraElement, module: ModuleSpace) -> AlgebraEle
                 sgn, levels = res
                 new = BasisState(ferm_b=state.ferm_b, ferm_c=levels)
                 if state_level(spec, new) > cap:
-                    out.truncated = True
                     continue
                 out.add_term(new, coeff * (-1.0) ** (nb + sgn))
             else:
@@ -642,107 +631,120 @@ def _general_binom(x: float, k: int) -> float:
     return acc
 
 
-def single_mode_of_state(
-    spec: AlgebraSpec, species: str, flavor: int, j: int, n: float
-) -> tuple[float, ModeOp] | None:
-    """Mode (X(-j)vac)(n) of a single-oscillator state, as coeff * mode.
+Monomials = list[tuple[complex, tuple[ModeOp, ...]]]
 
-    From Y(X(-j)vac, z) = (1/(j-1)!) d_z^{j-1} Y(X, z):
+
+def _round_modes(
+    module: ModuleSpace, state: BasisState, coeff: complex
+) -> Callable[[int], Monomials]:
+    """The round modes coeff * state(n) as a function of the integer n,
+    which returns mode monomials (coeff, modes), modes[0] acting first.
+
+    This is the one place a state's shape is read, once per call rather
+    than once per n.  Supported shapes: the vacuum (1(n) = delta_{n,-1}),
+    single-oscillator states X(-j)vac, boson pairs a^i(-1)a^j(-1)vac, and
+    the fermion bilinear b(-1)c(-1)vac.  From Y(X(-j)vac, z) =
+    (1/(j-1)!) d_z^{j-1} Y(X, z),
 
         (X(-j)vac)(n) = (-1)^{j-1} C(n, j-1) X(n - j + 1).
 
-    Returns None when the coefficient vanishes.  n may be fractional only
-    through a lattice shift; the resulting mode label must be an integer.
-    """
-    c = (-1.0) ** (j - 1) * _general_binom(float(n), j - 1)
-    if c == 0.0:
-        return None
-    m = n - j + 1
-    if abs(m - round(m)) > 1e-12:
-        return None
-    return c, ModeOp(species=species, n=int(round(m)), flavor=flavor)
-
-
-def zero_mode_terms(
-    module: ModuleSpace, v: AlgebraElement, lam: int = 0
-) -> list[tuple[complex, tuple[ModeOp, ...]]]:
-    """Lattice-shifted zero mode o_lam(v) = v(wt(v) - 1 + lam) as a sum of
-    mode monomials coeff * modes, modes[0] acting first.
-
-    Components of non-integer weight contribute the zero operator.  Supported
-    state shapes: the vacuum, single-oscillator states X(-j)vac, boson pairs
-    a^i(-1)a^j(-1)vac, and the fermion bilinear b(-1)c(-1)vac.  In the
-    quadratic shapes creators (negative labels) act last; the bilinear's
-    b(k)c(m) with k >= 0 > m is normal-ordered as -c(m)b(k).
+    In the quadratic shapes creators (negative labels) act last; the
+    bilinear's b(k)c(m) with k >= 0 > m is normal-ordered as -c(m)b(k).
+    Any other shape raises UnsupportedInsertion, and a mode foreign to the
+    module raises here too.
     """
     spec = module.spec
-    terms: list[tuple[complex, tuple[ModeOp, ...]]] = []
+    if state == VACUUM:
+        return lambda n: [(coeff, ())] if n == -1 else []
 
-    for state, coeff in sorted(v.terms.items()):
-        wt = state_level(spec, state)
-        if abs(wt - round(wt)) > 1e-12:
-            continue
-        n_mode = round(wt) - 1 + lam
+    nosc = len(state.boson) + len(state.ferm_b) + len(state.ferm_c)
+    if nosc == 1:
+        if state.boson:
+            (f, j), species = state.boson[0], "a"
+        elif state.ferm_b:
+            f, j, species = 0, state.ferm_b[0], "b"
+        else:
+            f, j, species = 0, state.ferm_c[0], "c"
+        _check_mode(ModeOp(species, 0, f), spec)
+        sign = (-1.0) ** (j - 1)
 
-        if state == VACUUM:
-            if n_mode == -1:
-                terms.append((coeff, ()))
-            continue
+        def single(n: int) -> Monomials:
+            c = sign * _general_binom(n, j - 1)
+            return [(coeff * c, (ModeOp(species, n - j + 1, f),))] if c else []
 
-        nosc = len(state.boson) + len(state.ferm_b) + len(state.ferm_c)
-        if nosc == 1:
-            if state.boson:
-                (f, j), species = state.boson[0], "a"
-            elif state.ferm_b:
-                f, j, species = 0, state.ferm_b[0], "b"
-            else:
-                f, j, species = 0, state.ferm_c[0], "c"
-            res = single_mode_of_state(spec, species, f, j, n_mode)
-            if res is not None:
-                terms.append((coeff * res[0], (res[1],)))
-            continue
+        return single
 
-        if nosc == 2 and len(state.boson) == 2 and all(l == 1 for _, l in state.boson):
-            (f1, _), (f2, _) = state.boson
-            kmax = int(module.cap) + abs(lam) + 1
+    if nosc == 2 and len(state.boson) == 2 and all(l == 1 for _, l in state.boson):
+        (f1, _), (f2, _) = state.boson
+        _check_mode(ModeOp("a", 0, f1), spec)
+        _check_mode(ModeOp("a", 0, f2), spec)
+
+        def pair(n: int) -> Monomials:
+            # the two labels add up to n - 1
+            kmax = int(module.cap) + abs(n - 1) + 1
+            terms = []
             for k in range(-kmax, kmax + 1):
-                op1, op2 = ModeOp("a", k, f1), ModeOp("a", lam - k, f2)
+                op1, op2 = ModeOp("a", k, f1), ModeOp("a", n - 1 - k, f2)
                 terms.append((coeff, (op2, op1) if k < 0 else (op1, op2)))
-            continue
+            return terms
 
-        if nosc == 2 and spec.kind == "complex_fermion" and state.ferm_b == state.ferm_c == (1,):
-            kmax = int(module.cap) + abs(lam) + 2
+        return pair
+
+    if nosc == 2 and spec.kind == "complex_fermion" and state.ferm_b == state.ferm_c == (1,):
+
+        def bilinear(n: int) -> Monomials:
+            kmax = int(module.cap) + abs(n) + 2
+            terms = []
             for k in range(-kmax, kmax + 1):
-                opb, opc = ModeOp("b", k), ModeOp("c", lam - 1 - k)
+                opb, opc = ModeOp("b", k), ModeOp("c", n - 1 - k)
                 if k >= 0 and opc.n < 0:
                     terms.append((-coeff, (opb, opc)))
                 else:
                     terms.append((coeff, (opc, opb)))
-            continue
+            return terms
 
-        raise UnsupportedInsertion(
-            f"zero mode of state {state} is outside the supported families"
-        )
+        return bilinear
+
+    raise UnsupportedInsertion(f"zero mode of state {state} is outside the supported families")
+
+
+def zero_mode_terms(module: ModuleSpace, v: AlgebraElement, lam: float = 0) -> Monomials:
+    """Lattice-shifted zero mode o_lam(v) = v(wt(v) - 1 + lam) as a sum of
+    mode monomials coeff * modes, modes[0] acting first.
+
+    o_lam(v) lowers the level by lam.  lam may be a half-integer; a
+    component of v contributes only where wt - 1 + lam is an integer, so for
+    integer lam the components of non-integer weight give zero.  The
+    monomials of each component are its `_round_modes`.
+    """
+    spec = module.spec
+    terms: Monomials = []
+    for state, coeff in sorted(v.terms.items()):
+        n = state_level(spec, state) - 1 + lam
+        if abs(n - round(n)) <= 1e-12:
+            terms += _round_modes(module, state, coeff)(round(n))
     return terms
 
 
+def apply_terms(module: ModuleSpace, terms: Monomials, x: AlgebraElement) -> AlgebraElement:
+    """The sum of coeff * modes . x over mode monomials (coeff, modes),
+    applied with apply_mode."""
+    total = AlgebraElement.zero()
+    for coeff, modes in terms:
+        y = x
+        for op in modes:
+            y = apply_mode(op, y, module)
+        total = total.plus(y.scaled(coeff))
+    return total
+
+
 def zero_mode_operator(
-    module: ModuleSpace, v: AlgebraElement, lam: int = 0
+    module: ModuleSpace, v: AlgebraElement, lam: float = 0
 ) -> Callable[[AlgebraElement], AlgebraElement]:
     """o_lam(v) as an operator on module elements: the monomials of
     zero_mode_terms applied with apply_mode."""
     terms = zero_mode_terms(module, v, lam)
-
-    def operator(x: AlgebraElement) -> AlgebraElement:
-        total = AlgebraElement.zero()
-        for coeff, modes in terms:
-            y = x
-            for op in modes:
-                y = apply_mode(op, y, module)
-            total = total.plus(y.scaled(coeff))
-        return total
-
-    return operator
+    return lambda x: apply_terms(module, terms, x)
 
 
 def current_zero_mode_scalar(module: ModuleSpace) -> float | None:

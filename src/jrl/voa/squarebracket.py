@@ -5,8 +5,9 @@ For a state v of conformal weight h the cylinder modes are
     v[m] = sum_{j >= m} kappa(h, m, j) v(j),
     kappa(h, m, j) = [z^{j-m}] ((e^z - 1)/z)^{-j-1} e^{z h},
 
-so v[m] = v(m) + (higher round modes).  Applied to a fixed target the
-j-sum terminates because round modes of large label annihilate it.
+so v[m] = v(m) + (higher round modes).  v(j) = o_{j-h+1}(v) lowers the
+level by j - h + 1, so on a fixed target the j-sum ends at `last_mode`,
+the target's top level plus h - 1.
 
 The lattice-shifted variant regrades by a multiple of the charge; its
 modes are v[n]_h = sum_{m >= 0} (lam^m / m!) v[n + m], again finite on
@@ -21,15 +22,7 @@ from functools import lru_cache
 from ..errors import UnsupportedInsertion
 from ..specfun.points import Truncation
 from ..specfun.series import QLaurentSeries
-from .algebra import (
-    VACUUM,
-    AlgebraElement,
-    ModuleSpace,
-    apply_mode,
-    single_mode_of_state,
-    state_level,
-    zero_mode_operator,
-)
+from .algebra import AlgebraElement, AlgebraSpec, ModuleSpace, state_level, zero_mode_operator
 
 
 @lru_cache(maxsize=None)
@@ -53,64 +46,28 @@ def kappa(h: float, m: int, j: int) -> float:
     return _kappa_cached(h2, m, j)
 
 
+def last_mode(spec: AlgebraSpec, h: float, x: AlgebraElement) -> int:
+    """The last label j at which a weight-h state's round mode v(j), and so
+    v[j], can be nonzero on x: v(j) lowers the level by j - h + 1, and no
+    state lies below level 0."""
+    top = max((state_level(spec, s) for s in x.terms), default=0.0)
+    return math.floor(top + h - 1)
+
+
 def square_bracket_image(
     module: ModuleSpace, v: AlgebraElement, m: int, target: AlgebraElement
 ) -> AlgebraElement:
-    """v[m] . target for v built from vacuum and single-oscillator states."""
-    spec = module.spec
+    """v[m] . target, summing kappa(h, m, j) v(j) . target over the
+    components of v, h the weight of each, with v(j) = o_{j-h+1}(v)."""
     out = AlgebraElement.zero()
     for state, cv in sorted(v.terms.items()):
-        if state == VACUUM:
-            # Y[1] = id: 1[m] = delta_{m,-1} id
-            if m == -1:
-                out = out.plus(target.scaled(cv))
-            continue
-        nosc = len(state.boson) + len(state.ferm_b) + len(state.ferm_c)
-        if nosc == 2:
-            # quadratic shapes with known round modes: v(j) = o_{j-h+1}(v)
-            quad_boson = len(state.boson) == 2 and all(l == 1 for _, l in state.boson)
-            quad_ferm = state.ferm_b == (1,) and state.ferm_c == (1,)
-            if not (quad_boson or quad_ferm):
-                raise UnsupportedInsertion(
-                    "square-bracket modes support quadratic states only at level one"
-                )
-            h = state_level(spec, state)
-            hi = round(h)
-            single = AlgebraElement.from_state(state)
-            jmax = int(math.ceil(module.cap + hi + 1))
-            for j in range(m, jmax + 1):
-                kc = kappa(h, m, j)
-                if kc == 0.0:
-                    continue
-                op = zero_mode_operator(module, single, j - hi + 1)
-                term = op(target)
-                if not term.is_zero() or term.truncated:
-                    out = out.plus(term.scaled(cv * kc))
-            continue
-        if nosc != 1:
-            raise UnsupportedInsertion(
-                "square-bracket modes are implemented for single-oscillator states"
-            )
-        if state.boson:
-            species, flavor, j0 = "a", state.boson[0][0], state.boson[0][1]
-        elif state.ferm_b:
-            species, flavor, j0 = "b", 0, state.ferm_b[0]
-        else:
-            species, flavor, j0 = "c", 0, state.ferm_c[0]
-        h = state_level(spec, state)
-        # round modes (state)(j) kill the target once j outruns its level
-        jmax = int(math.ceil(module.cap + j0 + 2))
-        for j in range(m, jmax + 1):
+        h = module.level(state)
+        single = AlgebraElement.from_state(state)
+        for j in range(m, last_mode(module.spec, h, target) + 1):
             kc = kappa(h, m, j)
-            if kc == 0.0:
-                continue
-            res = single_mode_of_state(spec, species, flavor, j0, j)
-            if res is None:
-                continue
-            cmode, mode = res
-            term = apply_mode(mode, target, module)
-            if not term.is_zero() or term.truncated:
-                out = out.plus(term.scaled(cv * kc * cmode))
+            if kc != 0.0:
+                term = zero_mode_operator(module, single, j - h + 1)(target)
+                out = out.plus(term.scaled(cv * kc))
     return out
 
 
@@ -123,16 +80,14 @@ def shifted_square_bracket_image(
 ) -> AlgebraElement:
     """v[n]_h . target = sum_{m >= 0} (lam^m / m!) v[n + m] . target.
 
-    The sum terminates: for fixed target, v[n + m] annihilates it once
-    n + m exceeds the target level plus the weight of v.
+    The sum terminates where n + m passes `last_mode` of the heaviest
+    component of v.
     """
     out = AlgebraElement.zero()
-    mcap = int(math.ceil(module.cap + 4))
+    h = max((module.level(s) for s in v.terms), default=0.0)
     coeff = 1.0
-    for m in range(0, mcap + 1):
+    for m in range(0, last_mode(module.spec, h, target) - n + 1):
         if coeff != 0.0:
-            part = square_bracket_image(module, v, n + m, target)
-            if not part.is_zero():
-                out = out.plus(part.scaled(coeff))
+            out = out.plus(square_bracket_image(module, v, n + m, target).scaled(coeff))
         coeff = coeff * lam / (m + 1)
     return out

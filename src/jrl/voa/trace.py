@@ -10,18 +10,20 @@ weight per unit charge (used by the charge-regraded trace).  Keeping the
 exponents additive avoids complex-power branch cuts entirely.  The weights
 of all basis states are computed as one array.
 
-Vertex operators are dressed mode sums: for a single-oscillator state of
-species X the insertion at position w contributes modes X(m) with
-coefficient q_w^{wt_X - m - 1} (independent of derivative depth).
-Operator order is left to right in the argument list, so the last
-insertion acts first and must carry the largest Im w:
+Every operator in a trace is built from the zero modes o_lam(v) =
+v(wt - 1 + lam) of `zero_mode_terms`, each a sum of mode monomials that
+lowers the level by lam.  A zero-mode insertion is one o_lam(v); a field
+insertion is the dressed vertex operator
+
+    Y(v, w) = sum_{lam in wt + Z} e(-w lam) o_lam(v),
+
+so it takes every state shape `zero_mode_terms` takes: the vacuum, single
+oscillators, boson pairs and the b-c bilinear.  Operator order is left to
+right in the argument list, so the last insertion acts first and must
+carry the largest Im w:
 
     0 < Im w_1 < Im w_2 < ... < Im w_n < Im tau.
 
-Every operator in a trace is a sum of mode monomials (modes, coefficient,
-level change): a field insertion has one single-mode monomial per X(m)
-plus the identity part, and the zero mode o_lam(v) of `zero_mode_terms`
-has one monomial per mode product, each lowering the level by lam.
 `graded_trace` sums over paths of one monomial per operator, applied
 innermost first to every basis state at once.  A monomial changes the
 level by the same amount on every state, so the outermost operator only
@@ -40,15 +42,13 @@ import numpy as np
 from ..errors import DomainViolation, UnsupportedInsertion
 from ..specfun.points import ModularPoint, phase
 from .algebra import (
-    VACUUM,
     AlgebraElement,
     AlgebraSpec,
     BasisState,
     ModeOp,
     ModuleSpace,
-    _check_mode,
-    _general_binom,
-    apply_mode,
+    _round_modes,
+    apply_terms,
     enumerate_basis,
     mode_image,
     sector_weight,
@@ -84,53 +84,11 @@ def oscillator_state(species: str, j: int = 1, flavor: int = 0) -> AlgebraElemen
     raise DomainViolation(f"unknown species {species!r}")
 
 
-def _single_components(
-    spec: AlgebraSpec, v: AlgebraElement
-) -> tuple[complex, list[tuple[complex, str, int, int]]]:
-    """Split v into an identity multiple and single-oscillator components."""
-    scalar = 0.0 + 0.0j
-    comps: list[tuple[complex, str, int, int]] = []
-    for state, cv in sorted(v.terms.items()):
-        if state == VACUUM:
-            scalar += cv
-            continue
-        nosc = len(state.boson) + len(state.ferm_b) + len(state.ferm_c)
-        if nosc != 1:
-            raise UnsupportedInsertion(
-                "field insertions must be vacuum or single-oscillator states"
-            )
-        if state.boson:
-            comps.append((cv, "a", state.boson[0][0], state.boson[0][1]))
-        elif state.ferm_b:
-            comps.append((cv, "b", 0, state.ferm_b[0]))
-        else:
-            comps.append((cv, "c", 0, state.ferm_c[0]))
-    return scalar, comps
-
-
 def apply_field(
     module: ModuleSpace, v: AlgebraElement, w: complex, x: AlgebraElement
 ) -> AlgebraElement:
     """Dressed vertex operator of v at position w applied to x."""
-    spec = module.spec
-    scalar, comps = _single_components(spec, v)
-    out = x.scaled(scalar)
-    out.truncated = out.truncated or x.truncated
-    mmax = int(math.ceil(module.cap)) + 2
-    for cv, species, flavor, j in comps:
-        wt_x = spec.species_weight(species)
-        for m in range(-mmax, mmax + 1):
-            # (X(-j)vac)(n) = (-1)^{j-1} C(n, j-1) X(n-j+1) with n = m+j-1
-            cc = (-1.0) ** (j - 1) * _general_binom(m + j - 1, j - 1)
-            if cc == 0.0:
-                continue
-            term = apply_mode(ModeOp(species, m, flavor), x, module)
-            out.truncated = out.truncated or term.truncated
-            if term.is_zero():
-                continue
-            dress = phase(w * (wt_x - m - 1))
-            out = out.plus(term.scaled(cv * cc * dress))
-    return out
+    return apply_terms(module, [(c, modes) for modes, c, _ in _field_terms(module, v, w)], x)
 
 
 @dataclass(frozen=True)
@@ -174,26 +132,26 @@ def partition_function(module: ModuleSpace, tau: ModularPoint, tw: TraceWeights)
 def _field_terms(
     module: ModuleSpace, v: AlgebraElement, w: complex
 ) -> list[tuple[tuple[ModeOp, ...], complex, float]]:
-    """The dressed vertex operator of v at w as (modes, coefficient, level
-    change) terms, () standing for the identity; the modes are those of
-    apply_field.  X(m) changes the level by wt_X - 1 - m."""
-    spec = module.spec
-    scalar, comps = _single_components(spec, v)
-    coeffs: dict[tuple[ModeOp, ...], complex] = {(): scalar} if scalar else {}
-    mmax = int(math.ceil(module.cap)) + 2
-    for cv, species, flavor, j in comps:
-        _check_mode(ModeOp(species, 0, flavor), spec)
-        wt_x = spec.species_weight(species)
-        for m in range(-mmax, mmax + 1):
-            cc = (-1.0) ** (j - 1) * _general_binom(m + j - 1, j - 1)
-            if cc == 0.0:
-                continue
-            op = (ModeOp(species, m, flavor),)
-            coeffs[op] = coeffs.get(op, 0.0) + cv * cc * phase(w * (wt_x - m - 1))
-    return [
-        (op, c, spec.species_weight(op[0].species) - 1.0 - op[0].n if op else 0.0)
-        for op, c in coeffs.items()
-    ]
+    """Y(v, w) = sum_lam e(-w lam) o_lam(v) as (modes, coefficient, level
+    change) terms, () standing for the identity.
+
+    A component of weight wt takes lam in wt + Z, its round mode
+    n = wt - 1 + lam changing the level by -lam; o_lam(v) vanishes on the
+    module unless |lam| <= cap, so lam stops at ceil(cap).  The monomials
+    are those of zero_mode_terms, read from `_round_modes` once per
+    component rather than once per lam.
+    """
+    top = math.ceil(module.cap)
+    terms: dict[tuple[ModeOp, ...], list] = {}
+    for state, cv in sorted(v.terms.items()):
+        wt = module.level(state)
+        modes_at = _round_modes(module, state, cv)
+        for n in range(math.ceil(wt - 1 - top), math.floor(wt - 1 + top) + 1):
+            shift = wt - 1 - n
+            dress = phase(w * shift)
+            for c, modes in modes_at(n):
+                terms.setdefault(modes, [0.0, shift])[0] += c * dress
+    return [(modes, c, shift) for modes, (c, shift) in terms.items()]
 
 
 def graded_trace(
@@ -201,7 +159,7 @@ def graded_trace(
     insertions: Sequence[tuple[AlgebraElement, complex]],
     tau: ModularPoint,
     tw: TraceWeights,
-    zero_mode: tuple[AlgebraElement, int] | None = None,
+    zero_mode: tuple[AlgebraElement, float] | None = None,
 ) -> complex:
     """Tr o_lam(v) Y(x_1, w_1) ... Y(x_n, w_n) against the graded weights,
     with zero_mode = (v, lam), or without o_lam(v) when it is None.
@@ -215,10 +173,6 @@ def graded_trace(
     zero = None if zero_mode is None else zero_mode_terms(module, *zero_mode)
     layers = [_field_terms(module, v, w) for v, w in insertions]
     if zero is not None:
-        # modes foreign to the module raise, also where no path reaches them
-        for _, modes in zero:
-            for op in modes:
-                _check_mode(op, module.spec)
         # every monomial of o_lam(v) lowers the level by lam
         layers.insert(0, [(modes, c, -float(zero_mode[1])) for c, modes in zero])
     if not layers:

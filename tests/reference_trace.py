@@ -3,12 +3,18 @@ the array engine in jrl.voa.trace is tested against.
 
 Every basis state is pushed through the inner insertions with
 `apply_field` on the dict representation, and the outermost operator is
-contracted against the diagonal one state at a time.
+contracted against the diagonal one state at a time.  The fields here are
+the per-species mode loops over vacuum and single-oscillator states, kept
+apart from the engine's description of fields through `zero_mode_terms`,
+so that the two can be checked against each other.
 """
 
-from jrl.errors import DomainViolation
+import math
+
+from jrl.errors import DomainViolation, UnsupportedInsertion
 from jrl.specfun.points import phase
 from jrl.voa.algebra import (
+    VACUUM,
     AlgebraElement,
     ModeOp,
     _general_binom,
@@ -16,7 +22,50 @@ from jrl.voa.algebra import (
     state_level,
     zero_mode_operator,
 )
-from jrl.voa.trace import _single_components, apply_field
+
+
+def _single_components(spec, v):
+    """Split v into an identity multiple and single-oscillator components."""
+    scalar = 0.0 + 0.0j
+    comps = []
+    for state, cv in sorted(v.terms.items()):
+        if state == VACUUM:
+            scalar += cv
+            continue
+        nosc = len(state.boson) + len(state.ferm_b) + len(state.ferm_c)
+        if nosc != 1:
+            raise UnsupportedInsertion(
+                "field insertions must be vacuum or single-oscillator states"
+            )
+        if state.boson:
+            comps.append((cv, "a", state.boson[0][0], state.boson[0][1]))
+        elif state.ferm_b:
+            comps.append((cv, "b", 0, state.ferm_b[0]))
+        else:
+            comps.append((cv, "c", 0, state.ferm_c[0]))
+    return scalar, comps
+
+
+def apply_field(module, v, w, x):
+    """Dressed vertex operator of v at position w applied to x, one
+    species mode X(m) at a time."""
+    spec = module.spec
+    scalar, comps = _single_components(spec, v)
+    out = x.scaled(scalar)
+    mmax = int(math.ceil(module.cap)) + 2
+    for cv, species, flavor, j in comps:
+        wt_x = spec.species_weight(species)
+        for m in range(-mmax, mmax + 1):
+            # (X(-j)vac)(n) = (-1)^{j-1} C(n, j-1) X(n-j+1) with n = m+j-1
+            cc = (-1.0) ** (j - 1) * _general_binom(m + j - 1, j - 1)
+            if cc == 0.0:
+                continue
+            term = apply_mode(ModeOp(species, m, flavor), x, module)
+            if term.is_zero():
+                continue
+            dress = phase(w * (wt_x - m - 1))
+            out = out.plus(term.scaled(cv * cc * dress))
+    return out
 
 
 def state_factor(module, tau, tw, state):

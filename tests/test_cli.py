@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -201,8 +202,14 @@ def test_reduce_rejects_creator_label_below_one(tmp_path, algebra, sector, state
         (None, "sector", "x"),
         (None, "insertions", [{"state": {"boson": [[0, "a"]]}, "z": [0.0, 0.12]}]),
         (None, "truncation", {"n_q": "x"}),
+        (None, "truncation", {"n_q": 12.7}),
+        ("algebra", "rank", True),
+        ("params", "shift", [1.5, 0]),
     ],
-    ids=["cap", "shift", "insertions", "rank", "sector", "boson_label", "truncation"],
+    ids=[
+        "cap", "shift", "insertions", "rank", "sector", "boson_label", "truncation",
+        "truncation_fraction", "rank_bool", "shift_fraction",
+    ],
 )
 def test_reduce_rejects_malformed_values(tmp_path, section, field, value):
     bad = json.loads(json.dumps(BASE_REQUEST))
@@ -211,6 +218,26 @@ def test_reduce_rejects_malformed_values(tmp_path, section, field, value):
     assert r.returncode == 2, r.stdout + r.stderr
     assert "Traceback" not in r.stderr
     assert "malformed" in r.stderr and field in r.stderr
+
+
+def test_reduce_oracle_takes_the_bilinear_field(tmp_path):
+    # the direct trace takes the b-c bilinear as a field, so the oracle
+    # check runs on a request whose distinguished insertion is J
+    doc = {
+        "schema": 1,
+        "algebra": {"kind": "complex_fermion", "grading": "charge_shifted"},
+        "cap": 3.0,
+        "params": {"z": [0.23, -0.11], "tau": [0.0, 0.8], "supertrace": True},
+        "insertions": [
+            {"state": "b", "z": [0.0, 0.1]},
+            {"state": "c", "z": [0.0, 0.35]},
+            {"state": "J", "z": [0.0, 0.6]},
+        ],
+    }
+    r = run_cli("reduce", "--oracle", request=doc, tmp_path=tmp_path)
+    assert r.returncode == 0, r.stdout + r.stderr
+    match = next(c for c in json.loads(r.stdout)["checks"] if c["name"] == "oracle_match")
+    assert match["pass"] and match["residual"] <= match["tolerance"]
 
 
 def test_reduce_accepts_zeta_alias(tmp_path):
@@ -292,10 +319,14 @@ def test_missing_request_file_exits_two(tmp_path):
         ("--fn", "E", "--k", str(MAX_ORDER + 1), "--tau", "0.5i"),
         ("--fn", "P", "--m", str(MAX_ORDER + 1), "--nmode", "2", "--w", "0.1+0.2i", "--tau", "0.5i"),
         ("--fn", "B", "--k", str(MAX_ORDER + 1)),
+        ("--fn", "E", "--k", str(MAX_ORDER), "--tau", "0.01i", "--nq", "512"),
+        ("--fn", "laurentP", "--kind", "plain", "--k", "4", "--tau", "6i", "--nq", "512"),
+        ("--fn", "laurentP", "--kind", "tilde", "--z", "0.5i", "--k", "2", "--tau", "0.5i"),
     ],
     ids=[
         "P_order_zero", "laurent_order_13", "E_negative_index", "B_negative_index", "P_overflow",
-        "E_past_max_order", "P_past_max_order", "B_past_max_order",
+        "E_past_max_order", "P_past_max_order", "B_past_max_order", "E_terms_overflow",
+        "laurent_strip_overflow", "laurent_flux_off_strip",
     ],
 )
 def test_eval_out_of_domain_is_typed_error(args):
@@ -303,6 +334,28 @@ def test_eval_out_of_domain_is_typed_error(args):
     assert r.returncode == 2, r.stdout + r.stderr
     assert "Traceback" not in r.stderr
     assert json.loads(r.stdout)["error"]["type"] == "DomainViolation"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--fn", "Etilde", "--k", "2", "--z", "0.3i", "--tau", "0.5i", "--nq", "512"),
+        ("--fn", "E", "--k", str(MAX_ORDER), "--tau", "0.5i", "--nq", "512"),
+        (
+            "--fn", "laurentP", "--kind", "tilde", "--z", "0.49i", "--k", "2", "--tau", "0.5i",
+            "--nq", "512",
+        ),
+    ],
+    ids=["Etilde_flux_overflow", "E_power_overflow", "laurent_tilde_nan"],
+)
+def test_eval_at_the_largest_truncation_is_finite(args):
+    # each term is finite, but one of its factors alone overflows at
+    # n_q 512; a non-finite number must never be reported as a pass
+    r = run_cli("eval", *args)
+    assert r.returncode == 0, r.stdout + r.stderr
+    chk = json.loads(r.stdout)["checks"][0]
+    numbers = [chk["value"]] if chk["value"] is not None else chk["coefficients"]
+    assert chk["pass"] and all(math.isfinite(x) for pair in numbers for x in pair)
 
 
 @pytest.mark.parametrize(

@@ -123,6 +123,47 @@ def test_real_fermion_pair_reduces():
     assert [t.name for t in ledger.terms] == ["weier_p_deformed"]
 
 
+@pytest.mark.parametrize("re_tau", [-0.5, 0.7, -1.2])
+@pytest.mark.parametrize("spec", [AlgebraSpec(kind="complex_fermion"), RFERM], ids=["cf", "rf"])
+def test_half_integer_weights_follow_tau_past_the_strip(spec, re_tau):
+    # q^n with n in Z + 1/2 depends on tau, not only on q = e(tau): taken
+    # on the principal branch of q it is right only for Re tau in (-1/2, 1/2]
+    second = oscillator_state("c" if spec.kind == "complex_fermion" else "b", 1)
+    req = NPointRequest(
+        spec=spec,
+        sector=(),
+        cap=1.0,
+        insertions=((oscillator_state("b", 1), 0.2j), (second, 0.55j)),
+        params=JacobiParams(z=0.25, tau=ModularPoint(complex(re_tau, 1.0)), supertrace=True),
+        headroom=10,
+    )
+    ref = npoint_oracle(req)
+    # headroom 10 over the smallest gap 0.35: exp(-2 pi 0.35 10) ~ 3e-10
+    assert abs(reduce_full(req)[0] - ref) / abs(ref) < 1e-8
+
+
+@pytest.mark.parametrize("order", ["Bbcc", "bccB", "ccBb"])
+def test_fermion_reduced_past_an_odd_slot_takes_its_sign(order):
+    # a fermion is reduced past odd slots on the generic branch: each slot's
+    # term carries the parity of the slots before it, as on the deformed one
+    states = {
+        "b": oscillator_state("b", 1),
+        "B": oscillator_state("b", 2),
+        "c": oscillator_state("c", 1),
+    }
+    req = NPointRequest(
+        spec=CFERM,
+        sector=(),
+        cap=1.0,
+        insertions=tuple(zip((states[x] for x in order), (0.1j, 0.3j, 0.5j, 0.7j))),
+        params=JacobiParams(z=0.25, tau=ModularPoint(1j), supertrace=True),
+        headroom=10,
+    )
+    ref = npoint_oracle(req)
+    # headroom 10 over the smallest gap 0.2: exp(-2 pi 0.2 10) ~ 4e-6
+    assert abs(reduce_full(req)[0] - ref) / abs(ref) < 1e-4
+
+
 def test_lattice_flux_routes_through_zero_trace():
     req = cferm_request(z=TAU.tau)
     ref = npoint_oracle(req)

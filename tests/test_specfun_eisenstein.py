@@ -1,5 +1,7 @@
 import math
+from dataclasses import replace
 
+import mpmath
 import pytest
 
 import oracles
@@ -14,6 +16,7 @@ from jrl.specfun import (
     p1_twisted_series_coefficient,
     phase,
 )
+from jrl.specfun.points import MAX_NQ, MAX_ORDER
 
 TR = Truncation(n_q=48, n_mode=96, tol=1e-14)
 HALF_I = ModularPoint(0.5j)
@@ -125,3 +128,42 @@ def test_twisted_p1_coefficient_lam_zero():
 def test_twisted_p1_coefficient_rejects_zero_index():
     with pytest.raises(DomainViolation):
         p1_twisted_series_coefficient(0, 1.0, HALF_I, TR)
+
+
+def _series_reference(k, tau, n_q, flux=None):
+    """The truncated double sum of eisenstein (flux None) or eisenstein_tilde
+    at 40 digits, where no term overflows."""
+    with mpmath.workdps(40):
+        q = mpmath.exp(2j * mpmath.pi * mpmath.mpc(tau))
+        qz = None if flux is None else mpmath.exp(2j * mpmath.pi * mpmath.mpc(flux))
+        total = mpmath.mpf(0)
+        for n in range(1, n_q + 1):
+            for m in range(1, n_q // n + 1):
+                if flux is None:
+                    total += 2 * mpmath.mpf(n) ** (k - 1) * q ** (n * m)
+                else:
+                    flux = qz**m + (-1) ** k * qz ** (-m)
+                    total += mpmath.mpf(n) ** (k - 1) * flux * q ** (n * m)
+        head = -mpmath.bernoulli(k) / mpmath.factorial(k)
+        if flux is not None and k == 1:
+            head -= qz / (qz - 1)
+        return complex(head + total / mpmath.factorial(k - 1))
+
+
+@pytest.mark.parametrize(
+    "k, flux", [(MAX_ORDER, None), (2, 0.3j)], ids=["E_max_order", "Etilde_2_flux_0.3i"]
+)
+def test_values_at_the_largest_truncation(k, flux):
+    # n^{k-1} alone overflows past n = 266 at k = 128, and q_z^{-m} alone
+    # past m = 376 at Im z = 0.3; the terms themselves are small.  Both
+    # sides add the same terms, so they agree to rounding: 1e-12 relative.
+    tr = replace(TR, n_q=MAX_NQ)
+    got = eisenstein(k, HALF_I, tr) if flux is None else eisenstein_tilde(k, flux, HALF_I, tr)
+    want = _series_reference(k, HALF_I.tau, MAX_NQ, flux)
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_series_that_cannot_be_finite_is_a_domain_error():
+    # at Im tau 0.01 the term n^127 q^n near n = 512 is about 1e332
+    with pytest.raises(DomainViolation):
+        eisenstein(MAX_ORDER, ModularPoint(0.01j), replace(TR, n_q=MAX_NQ))

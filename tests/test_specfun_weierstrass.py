@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -210,6 +211,24 @@ def test_laurent_fit_tilde_recovers_coefficients():
     for k in range(1, 7):
         want = -eisenstein_tilde(k, Z0, HALF_I, TR)
         assert abs(fit.coefficients[k - 1] - want) < 1e-8
+
+
+def test_laurent_fit_tilde_stays_finite_at_the_largest_truncation():
+    # at n_q 512 the factor q_z^{-m} alone overflows and q^{nm} alone
+    # underflows.  The tail past n_q 48 is below |q/q_z|^49 ~ 1e-27 at
+    # z = 0.3i, so the two fits solve the same samples up to rounding;
+    # 1e-12 leaves that rounding, amplified by the solve, a wide margin.
+    z = 0.3j
+    big = laurent_coeffs_p1("tilde", {"z": z}, HALF_I, 6, replace(TR, n_q=MAX_NQ))
+    small = laurent_coeffs_p1("tilde", {"z": z}, HALF_I, 6, TR)
+    assert all(cmath.isfinite(c) for c in (big.pole_coefficient, *big))
+    assert abs(big.pole_coefficient - small.pole_coefficient) < 1e-12
+    assert max(abs(a - b) for a, b in zip(big, small)) < 1e-12
+
+
+def test_laurent_fit_tilde_rejects_flux_off_the_strip():
+    with pytest.raises(DomainViolation):
+        laurent_coeffs_p1("tilde", {"z": 0.5j}, HALF_I, 4, TR)
 
 
 def test_laurent_fit_rejects_unknown_kind():
