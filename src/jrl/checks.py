@@ -18,7 +18,9 @@ from .reduction import (
     kz_residual,
     npoint_oracle,
     reduce_full,
+    reduce_negative_mode,
     reduction_family,
+    vacuum_module,
 )
 from .specfun import (
     AnnulusPoint,
@@ -46,6 +48,7 @@ from .voa import (
     kappa,
     oscillator_state,
     partition_function,
+    square_bracket_image,
 )
 
 
@@ -324,6 +327,18 @@ def _chk_chain(tr: Truncation) -> float:
     )
 
 
+def _chk_two_current(tr: Truncation) -> float:
+    # Z(J[-1]J) by the negative-mode rule, whose E_2 kernel is a q-series
+    # cut at tr.n_q, against the direct trace of the state J[-1]J: at
+    # tau = i/2 the residual is 1e-16 at n_q 12, 1.8e-6 at n_q 4, 4.6e-5 at 3
+    req = _heis_request(tr)
+    J = current_state(req.spec)
+    value, _ = reduce_negative_mode(req, J, 1)
+    state = square_bracket_image(vacuum_module(req.spec), J, -1, J)
+    ref = npoint_oracle(req.with_insertions(((state, req.insertions[0][1]),)))
+    return abs(value - ref) / max(1.0, abs(ref))
+
+
 def _chk_kz(tr: Truncation) -> float:
     spec = AlgebraSpec(kind="heisenberg", rank=1)
     base = _heis_request(tr)
@@ -351,4 +366,5 @@ CHECKS: tuple[Check, ...] = (
     Check("zero_res_lattice_flux", "reduction", 1e-8, _chk_zero_res),
     Check("chain_cross_flavor", "reduction", 1e-8, _chk_chain),
     Check("kz_self_consistency", "reduction", 1e-8, _chk_kz),
+    Check("two_current_negative_mode", "reduction", 1e-5, _chk_two_current),
 )

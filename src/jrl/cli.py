@@ -18,7 +18,7 @@ import time
 from dataclasses import replace
 from typing import TYPE_CHECKING
 
-from .errors import JrlError
+from .errors import DomainViolation, JrlError
 from .specfun import (
     ModularPoint,
     Truncation,
@@ -143,17 +143,20 @@ def element_from_json(spec: AlgebraSpec, desc, where: str) -> AlgebraElement:
         if desc == "a":
             return oscillator_state("a", 1, 0)
         raise UsageError(f"unknown state descriptor {desc!r} in {where}")
-    _check_fields(
-        desc, {"boson", "ferm_b", "ferm_c"}, set(), f"{where}.state"
+    where = f"{where}.state"
+    _check_fields(desc, {"boson", "ferm_b", "ferm_c"}, set(), where)
+    # one spelling per state: integer labels in canonical (sorted) order;
+    # the fermion lists name a basis state, a set of distinct labels
+    pairs = _get(
+        desc, "boson", lambda ps: sorted((_integer(f), _integer(l)) for f, l in ps), where, ()
     )
-    pairs = _get(desc, "boson", lambda ps: tuple((f, l) for f, l in ps), f"{where}.state", ())
-    ferm_b = _get(desc, "ferm_b", tuple, f"{where}.state", ())
-    ferm_c = _get(desc, "ferm_c", tuple, f"{where}.state", ())
-    if not all(isinstance(x, (int, float)) for x in sum(pairs, ()) + ferm_b + ferm_c):
-        raise UsageError(f"malformed {where}.state: {desc!r}")
-    return AlgebraElement.from_state(
-        BasisState(boson=pairs, ferm_b=ferm_b, ferm_c=ferm_c)
-    )
+    fermions = {}
+    for species in ("ferm_b", "ferm_c"):
+        labels = _get(desc, species, lambda xs: sorted(_integer(x) for x in xs), where, ())
+        if len(set(labels)) != len(labels):
+            raise DomainViolation(f"{where}.{species} repeats a fermion label: {labels}")
+        fermions[species] = tuple(labels)
+    return AlgebraElement.from_state(BasisState(boson=tuple(pairs), **fermions))
 
 
 def request_from_json(doc: dict) -> NPointRequest:

@@ -21,10 +21,13 @@ slots before it, and all right-hand terms carry the global sign
 (-1)^{p(v_{n+1})} fixed by matching direct supertraces of fermion
 two-point functions.
 
-This right-hand side is written down once, as the stage table
-`stage_rows`: `reduce_step` wraps its "simplest" rows with child requests
-and `coboundary.stage_contributions` evaluates the rows of any variant on
-a FunctionFamily.  The negative-mode rule and the identity residuals
+This right-hand side is written down once, as the position-free stage
+table `stage_table`; `stage_rows` evaluates it at the positions.
+`reduce_step` wraps its "simplest" rows with child requests and
+`coboundary.stage_contributions` evaluates the rows of any variant on a
+FunctionFamily.  `reduce_full` builds the whole tree of "simplest" tables
+once per request family, as a `ReductionPlan`, and evaluates it at each
+request's positions.  The negative-mode rule and the identity residuals
 sweep the same square-bracket images (`bracket_images`) and zero modes.
 Every kernel value comes from `specfun_kernel(*kernel_spec(...), tr)`.
 """
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache, lru_cache
 
 from ..errors import (
     AdmissibilityViolation,
@@ -51,6 +55,7 @@ from .types import (
     LedgerTerm,
     NPointRequest,
     element_weight_charge,
+    homogeneous_parts,
     npoint_oracle,
     specfun_kernel,
     vacuum_module,
@@ -95,6 +100,21 @@ def _select_branch(req: NPointRequest, alpha: float, integer_weight: bool) -> Br
 # ---------------------------------------------------------------------------
 
 
+def _bracket_image(spec: AlgebraSpec, v: AlgebraElement, m: int, x: AlgebraElement, shift):
+    """v[m].x (shift None) or v[m]_shift.x on the vacuum module."""
+    vac = vacuum_module(spec)
+    if shift is None:
+        return square_bracket_image(vac, v, m, x)
+    return shifted_square_bracket_image(vac, v, m, shift, x)
+
+
+@lru_cache(maxsize=4096)
+def _memo_bracket_image(spec: AlgebraSpec, v_key: tuple, m: int, x_key: tuple, shift):
+    """_bracket_image from the elements' keys: the positions, tau and z do
+    not enter an image, so every plan of the same elements shares it."""
+    return _bracket_image(spec, AlgebraElement(dict(v_key)), m, AlgebraElement(dict(x_key)), shift)
+
+
 def bracket_images(
     spec: AlgebraSpec,
     v: AlgebraElement,
@@ -105,6 +125,7 @@ def bracket_images(
     last: int | None = None,
     shift: int | None = None,
     strict: bool = False,
+    memo: bool = False,
 ):
     """Yield (k, m, v[m].x_k, sign) for every nonzero image, k from 1 and m rising.
 
@@ -112,17 +133,20 @@ def bracket_images(
     past which v[m] annihilates x_k; with `shift` the lattice-shifted modes
     v[m]_shift are used.  sign = (-1)^{par (p(x_1) + ... + p(x_{k-1}))}.
     The parity of x_k is read after its images when a later sign needs it,
-    and always when `strict`, so that a zero or inhomogeneous x_k raises."""
-    vac = vacuum_module(spec)
+    and always when `strict`, so that a zero or inhomogeneous x_k raises.
+    With `memo` the images come from a memo keyed on the elements' terms
+    and are shared between callers, so they must not be modified."""
+    v_key = v.key() if memo else None
     prefix = 0
     for k, x in enumerate(elements, start=1):
         sign = -1.0 if par and prefix % 2 else 1.0
         stop = last_mode(spec, wt, x) if last is None else last
+        x_key = x.key() if memo else None
         for m in range(first, stop + 1):
-            if shift is None:
-                img = square_bracket_image(vac, v, m, x)
+            if memo:
+                img = _memo_bracket_image(spec, v_key, m, x_key, shift)
             else:
-                img = shifted_square_bracket_image(vac, v, m, shift, x)
+                img = _bracket_image(spec, v, m, x, shift)
             if not img.is_zero():
                 yield k, m, img, sign
         if strict or (par and k < len(elements)):
@@ -184,25 +208,64 @@ def kernel_spec(
     return name + "_tilde", args
 
 
-def stage_rows(variant: str, context: NPointRequest, vs: tuple, ws: tuple):
-    """The stage table of one coboundary variant at insertions (vs, ws).
+@dataclass(frozen=True)
+class StageRow:
+    """One row of a stage table, free of the positions.
 
-    vs/ws carry n+1 entries, the last distinguished; context supplies the
-    spec, sector, flux, truncation and module (its insertions are not
-    read).  Returns (branch, phi, theta, rows); rows lazily yields
+    Its term is scale * kernel * child.  A "kernel" row's kernel is
+    specfun_kernel(name, args) with args["w"] = w_d - w_k, k its slot and
+    d the distinguished one; its child is the n-point function at vs[:-1]
+    with slot k replaced by `image`.  A zero row ("zero_scalar",
+    "zero_trace") has kernel 1 and its scale times e(-w_d phase_lam) when
+    phase_lam is set, times `scalar` when that is set; its child is then
+    the n-point function at vs[:-1], else the zero-mode trace
+    Tr o_trace_lam(v_d) Y(x_1, w_1) ... at the positions."""
 
-        (kind, k, m, name, args, scale, kernel, image, leaf)
+    kind: str
+    k: int
+    m: int
+    name: str
+    args: dict
+    scale: complex
+    image: AlgebraElement | None = None
+    phase_lam: int | None = None
+    scalar: complex | None = None
+    trace_lam: int | None = None
 
-    for the term scale * kernel * child, where child is the ready trace
-    `leaf` when it is not None, else the n-point function at vs[:-1] with
-    slot k replaced by image (k = 0: unchanged).  The `main` admissibility
-    check and the branch selection run before this returns."""
+    def zero_term(self, context: NPointRequest, vs: tuple, ws: tuple):
+        """(scale, leaf) of a zero row at complex positions ws; leaf is the
+        zero-mode trace, or None where the child is the n-point function."""
+        scale = self.scale
+        if self.phase_lam is not None:
+            scale = scale * phase(-ws[-1] * self.phase_lam)
+        if self.scalar is not None:
+            return scale * self.scalar, None
+        return scale, zero_mode_trace(context, vs[-1], self.trace_lam, zip(vs[:-1], ws[:-1]))
+
+    def kernel_args(self, ws: tuple) -> dict:
+        """The kernel arguments at complex positions ws."""
+        args = dict(self.args)
+        args["w"] = ws[-1] - ws[self.k - 1]
+        return args
+
+
+def stage_table(variant: str, context: NPointRequest, vs: tuple, memo: bool = False):
+    """The position-free stage table of one coboundary variant at insertion
+    elements vs (n+1 entries, the last distinguished).
+
+    context supplies the spec, sector and flux (its insertions are not
+    read).  Returns (branch, phi, theta, rows), rows a tuple of StageRow:
+    the zero rows first, then the kernel rows by (k, m).  The `main`
+    admissibility check and the branch selection run here.  `memo` is
+    passed to bracket_images: the reduction plans take their images from
+    the memo, and a cold plan build then costs little more than one
+    evaluation; the stage rows, the negative-mode rule and the identities
+    compute theirs per call."""
     if variant not in VARIANTS:
         raise DomainViolation(f"unknown variant {variant!r}")
     spec = context.spec
     tau = context.params.tau
-    v_d, w_d = vs[-1], complex(ws[-1])
-    base_vs, base_ws = vs[:-1], tuple(map(complex, ws[:-1]))
+    v_d, base_vs = vs[-1], vs[:-1]
     wt_d, ch_d, par_d = element_weight_charge(spec, v_d)
     phi = phase(complex(wt_d))
     theta = phase(-ch_d * complex(context.params.z))
@@ -210,7 +273,7 @@ def stage_rows(variant: str, context: NPointRequest, vs: tuple, ws: tuple):
     global_sign = -1.0 if par_d else 1.0
 
     if variant == "main":
-        for _, m, _, _ in bracket_images(spec, v_d, wt_d, 0, base_vs, first=1):
+        for _, m, _, _ in bracket_images(spec, v_d, wt_d, 0, base_vs, first=1, memo=memo):
             raise AdmissibilityViolation(
                 f"v[{m}].v_k is nonzero; the plain-coefficient variant does not apply"
             )
@@ -222,39 +285,259 @@ def stage_rows(variant: str, context: NPointRequest, vs: tuple, ws: tuple):
     else:
         branch = None
 
-    def rows():
-        lattice = branch is not None and branch.kind == "lattice"
-        if lattice and (variant != "super" or branch.lam == 0):
-            if variant == "shifted":
-                val = zero_mode_trace(context, v_d, branch.mu, zip(base_vs, base_ws))
-                yield "zero_trace", 0, 0, "one", {}, global_sign, ONE, None, val
-            else:
-                pref = global_sign * phase(-w_d * branch.lam)
-                scalar = zero_mode_scalar(context, v_d) if branch.lam == 0 else None
-                if scalar is not None:
-                    yield "zero_scalar", 0, 0, "one", {}, pref * scalar, ONE, None, None
-                else:
-                    val = zero_mode_trace(context, v_d, branch.lam, zip(base_vs, base_ws))
-                    yield "zero_trace", 0, 0, "one", {}, pref, ONE, None, val
-
-        for w_k in base_ws:
-            AnnulusPoint(w_d - w_k, tau)  # validates each separation, also of slots without images
-        deformed = variant == "super" or branch is None
-        twist = TwistPair.from_theta_phi(theta, phi) if deformed and base_vs else None
+    rows: list[StageRow] = []
+    lattice = branch is not None and branch.kind == "lattice"
+    if lattice and (variant != "super" or branch.lam == 0):
         if variant == "shifted":
-            shift, k_branch, k_twist = (branch.lam if branch is not None else 0), None, None
+            rows.append(StageRow("zero_trace", 0, 0, "one", {}, global_sign, trace_lam=branch.mu))
         else:
-            shift, k_branch, k_twist = None, branch, twist
-        az = ch_d * complex(context.params.z)
+            scalar = zero_mode_scalar(context, v_d) if branch.lam == 0 else None
+            if scalar is None:
+                kind, trace_lam = "zero_trace", branch.lam
+            else:
+                kind, trace_lam = "zero_scalar", None
+            rows.append(
+                StageRow(kind, 0, 0, "one", {}, global_sign, phase_lam=branch.lam, scalar=scalar,
+                         trace_lam=trace_lam)
+            )
+
+    deformed = variant == "super" or branch is None
+    twist = TwistPair.from_theta_phi(theta, phi) if deformed and base_vs else None
+    if variant == "shifted":
+        shift, k_branch, k_twist = (branch.lam if branch is not None else 0), None, None
+    else:
+        shift, k_branch, k_twist = None, branch, twist
+    az = ch_d * complex(context.params.z)
+    images = bracket_images(spec, v_d, wt_d, par_d, base_vs, shift=shift, strict=True, memo=memo)
+    for k, m, img, sign in images:
+        # w = 0 holds the place of the separation, filled in at the positions
+        name, args = kernel_spec(m + 1, tau.tau, 0j, k_branch, k_twist, az)
+        rows.append(StageRow("kernel", k, m, name, args, global_sign * sign, image=img))
+    return branch, phi, theta, tuple(rows)
+
+
+def _check_separations(ws: tuple, tau) -> None:
+    """Validate w_d - w_k of every slot k, also of slots without images."""
+    for w_k in ws[:-1]:
+        AnnulusPoint(ws[-1] - w_k, tau)
+
+
+def stage_rows(variant: str, context: NPointRequest, vs: tuple, ws: tuple):
+    """The stage table of one coboundary variant at insertions (vs, ws).
+
+    vs/ws carry n+1 entries, the last distinguished; context supplies the
+    spec, sector, flux, truncation and module (its insertions are not
+    read).  Returns (branch, phi, theta, rows); rows lazily yields
+
+        (kind, k, m, name, args, scale, kernel, image, leaf)
+
+    for the term scale * kernel * child, where child is the ready trace
+    `leaf` when it is not None, else the n-point function at vs[:-1] with
+    slot k replaced by image (k = 0: unchanged).  The rows are those of
+    `stage_table`, evaluated at the positions."""
+    branch, phi, theta, table = stage_table(variant, context, vs)
+    ws = tuple(map(complex, ws))
+
+    def rows():
+        tau = context.params.tau
         tr = context.truncation
-        for k, m, img, sign in bracket_images(
-            spec, v_d, wt_d, par_d, base_vs, shift=shift, strict=True
-        ):
-            name, args = kernel_spec(m + 1, tau.tau, w_d - base_ws[k - 1], k_branch, k_twist, az)
-            scale = global_sign * sign
-            yield "kernel", k, m, name, args, scale, specfun_kernel(name, args, tr), img, None
+        zero = [row for row in table if row.kind != "kernel"]
+        for row in zero:
+            scale, leaf = row.zero_term(context, vs, ws)
+            yield row.kind, 0, 0, row.name, row.args, scale, ONE, None, leaf
+        _check_separations(ws, tau)
+        for row in table[len(zero):]:
+            args = row.kernel_args(ws)
+            kernel = specfun_kernel(row.name, args, tr)
+            yield row.kind, row.k, row.m, row.name, args, row.scale, kernel, row.image, None
 
     return branch, phi, theta, rows()
+
+
+# ---------------------------------------------------------------------------
+# Reduction plans
+# ---------------------------------------------------------------------------
+
+
+class _PlanNode:
+    """The reduction of one tuple of elements: its "simplest" stage rows,
+    each with the plan of its child (None for a zero-mode trace), or the
+    zero-point value at n = 0.
+
+    `size` counts the numbers an evaluation records for the subtree: per
+    row its kernel (a zero row: its scale), the child's records and the
+    child's value.  Rows with an inhomogeneous image come once per
+    homogeneous part of it."""
+
+    __slots__ = ("n", "vs", "rows", "leaf", "size")
+
+    def __init__(self, family: NPointRequest, vs: tuple, nodes: dict, leaf_value):
+        self.n = len(vs)
+        self.vs = vs
+        self.leaf = leaf_value() if not vs else None
+        rows = []
+        for row in stage_table("simplest", family, vs, memo=True)[3] if vs else ():
+            # (row, child node, kernel key): the kernel key names the kernel
+            # of a kernel row, which is the same wherever (name, args, d, k) are
+            if row.kind == "kernel":
+                base = vs[:-1]
+                kkey = (row.name, self.n, row.k, tuple(row.args.items()))
+                for part in homogeneous_parts(family.spec, row.image):
+                    child_vs = base[: row.k - 1] + (part,) + base[row.k :]
+                    rows.append((row, _node(family, child_vs, nodes, leaf_value), kkey))
+            elif row.trace_lam is not None:
+                rows.append((row, None, None))
+            else:
+                rows.append((row, _node(family, vs[:-1], nodes, leaf_value), None))
+        self.rows = tuple(rows)
+        self.size = sum(2 + (child.size if child is not None else 0) for _, child, _ in rows)
+
+
+def _node(family: NPointRequest, vs: tuple, nodes: dict, leaf_value) -> _PlanNode:
+    """The node of vs, shared by every occurrence in one plan."""
+    key = tuple(v.key() for v in vs)
+    node = nodes.get(key)
+    if node is None:
+        node = nodes[key] = _PlanNode(family, vs, nodes, leaf_value)
+    return node
+
+
+class ReductionPlan:
+    """The reduce_full tree of one request family: everything but the
+    positions.
+
+    The family is a request without insertions (spec, sector, cap,
+    headroom, flux, tau, truncation), together with the insertion
+    elements.  The plan holds the branch, the square-bracket images, the
+    child structure and the zero-point value; `evaluate` adds the kernels
+    at w_d - w_k, the position-dependent zero rows, the separation checks
+    and the degeneracy test, in the order and with the arithmetic of a
+    direct recursion, so its values are the same bit for bit."""
+
+    __slots__ = ("family", "root")
+
+    def __init__(self, family: NPointRequest, vs: tuple[AlgebraElement, ...]):
+        self.family = family
+        params = family.params
+        # one zero-point function per plan, computed when a leaf needs it:
+        # every leaf has the family's module, tau and trace weights
+        leaf_value = cache(
+            lambda: partition_function(family.module(), params.tau, params.trace_weights())
+        )
+        self.root = _node(family, vs, {}, leaf_value)
+
+    def evaluate(self, ws) -> tuple[complex, CoefficientLedger]:
+        """(value, ledger) of the reduction at positions ws, one per insertion."""
+        ws = tuple(map(complex, ws))
+        if len(ws) != self.root.n:
+            raise DomainViolation(f"plan expects {self.root.n} positions, got {len(ws)}")
+        if not ws:
+            leaf = self.root.leaf
+            return leaf, CoefficientLedger(n=0, value=leaf, terms=(), is_leaf=True)
+        out: list = []
+        value = _evaluate(self.root, ws, self.family, {}, out)
+        return value, _PlanLedger.view(self.root, ws, tuple(out), 0, value)
+
+
+def _evaluate(node: _PlanNode, ws: tuple, family: NPointRequest, kernels: dict, out: list):
+    """The value of node at ws[:node.n], recording into out; kernels
+    memoises the kernel values of one evaluation."""
+    if node.leaf is not None:
+        return node.leaf
+    ws_n = ws[: node.n]
+    tr = family.truncation
+    # as in stage_rows: the zero rows (they come first), the separations,
+    # then the kernels, each distinct one once per evaluation
+    xs: list = []
+    leaves: list = []
+    for row, _, kkey in node.rows:
+        if kkey is not None:
+            break
+        scale, leaf = row.zero_term(family, node.vs, ws_n)
+        xs.append(scale)
+        leaves.append(leaf)
+    _check_separations(ws_n, family.params.tau)
+    for row, _, kkey in node.rows[len(xs) :]:
+        kernel = kernels.get(kkey)
+        if kernel is None:
+            kernel = kernels[kkey] = specfun_kernel(row.name, row.kernel_args(ws_n), tr)
+        xs.append(kernel)
+        leaves.append(None)
+
+    total = 0.0 + 0.0j
+    scale_sum = 0.0
+    coeff_weight = 0
+    for (row, child, kkey), x, leaf in zip(node.rows, xs, leaves):
+        scale, kernel = (x, ONE) if kkey is None else (row.scale, x)
+        out.append(x)
+        child_value = leaf if child is None else _evaluate(child, ws, family, kernels, out)
+        out.append(child_value)
+        contrib = scale * kernel * child_value
+        total += contrib
+        scale_sum += abs(contrib)
+        coeff_weight += abs(scale * kernel)
+    if coeff_weight > tr.tol and scale_sum > 0.0 and abs(total) < 1e-12 * scale_sum:
+        raise DegenerateInsertion(
+            "reduction stage vanished although nonzero coefficients contributed"
+        )
+    return total
+
+
+class _PlanLedger(CoefficientLedger):
+    """A CoefficientLedger as a view of a plan node at one position: the
+    positions and the numbers the evaluation recorded, from which `terms`
+    is built on each read (the terms slot stays empty)."""
+
+    __slots__ = ("_node", "_ws", "_record", "_start")
+
+    @classmethod
+    def view(cls, node: _PlanNode, ws: tuple, record: tuple, start: int, value: complex):
+        self = object.__new__(cls)
+        fields = {"n": node.n - 1, "value": value, "is_leaf": False,
+                  "_node": node, "_ws": ws, "_record": record, "_start": start}
+        for name, x in fields.items():
+            object.__setattr__(self, name, x)
+        return self
+
+    def __getattr__(self, name: str):
+        if name != "terms":
+            raise AttributeError(name)
+        node, ws, record = self._node, self._ws[: self._node.n], self._record
+        at = self._start
+        terms = []
+        for row, child, kkey in node.rows:
+            x = record[at]
+            end = at + 1 + (child.size if child is not None else 0)
+            child_value = record[end]
+            if child is None:
+                ledger = None
+            elif child.leaf is not None:
+                ledger = CoefficientLedger(n=0, value=child_value, terms=(), is_leaf=True)
+            else:
+                ledger = _PlanLedger.view(child, self._ws, record, at + 1, child_value)
+            if kkey is None:
+                scale, kernel, args = x, ONE, row.args
+            else:
+                scale, kernel, args = row.scale, x, row.kernel_args(ws)
+            terms.append(LedgerTerm(
+                row.kind, row.k, row.m, row.name, args, scale, kernel, ledger, child_value
+            ))
+            at = end + 1
+        return tuple(terms)
+
+
+PLAN_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _cached_plan(family: NPointRequest, keys: tuple) -> ReductionPlan:
+    return ReductionPlan(family, tuple(AlgebraElement(dict(key)) for key in keys))
+
+
+def reduction_plan(req: NPointRequest) -> ReductionPlan:
+    """The cached plan of req's family: req without its positions.  The
+    cache holds the last PLAN_CACHE_SIZE families."""
+    return _cached_plan(req.with_insertions(()), tuple(v.key() for v, _ in req.insertions))
 
 
 # ---------------------------------------------------------------------------
@@ -283,47 +566,13 @@ def reduce_step(req: NPointRequest) -> StepResult:
 
 
 def reduce_full(req: NPointRequest) -> tuple[complex, CoefficientLedger]:
-    """Full recursive reduction down to zero-point traces.
+    """Full recursive reduction down to zero-point traces: the request's
+    plan (`reduction_plan`) evaluated at its positions.  Inhomogeneous
+    square-bracket images are reduced part by part.
 
     Raises DegenerateInsertion when a stage with nonzero contributions
     sums to a value smaller than roundoff allows ratios to survive."""
-    if req.n == 0:
-        value = partition_function(req.module(), req.params.tau, req.params.trace_weights())
-        return value, CoefficientLedger(n=0, value=value, terms=(), is_leaf=True)
-
-    step = reduce_step(req)
-    ledger_terms: list[LedgerTerm] = []
-    total = 0.0 + 0.0j
-    scale_sum = 0.0
-    for t in step.terms:
-        if t.child is not None:
-            child_value, child_ledger = reduce_full(t.child)
-        else:
-            child_value, child_ledger = t.leaf_value, None
-        contrib = t.scale * t.kernel * child_value
-        total += contrib
-        scale_sum += abs(contrib)
-        ledger_terms.append(
-            LedgerTerm(
-                kind=t.kind,
-                k=t.k,
-                m=t.m,
-                name=t.name,
-                args=t.args,
-                scale=t.scale,
-                kernel=t.kernel,
-                child=child_ledger,
-                child_value=child_value,
-            )
-        )
-    coeff_weight = sum(abs(t.scale * t.kernel) for t in step.terms)
-    if coeff_weight > req.truncation.tol and scale_sum > 0.0 and abs(total) < 1e-12 * scale_sum:
-        raise DegenerateInsertion(
-            "reduction stage vanished although nonzero coefficients contributed"
-        )
-    return total, CoefficientLedger(
-        n=req.n - 1, value=total, terms=tuple(ledger_terms), is_leaf=False
-    )
+    return reduction_plan(req).evaluate(w for _, w in req.insertions)
 
 
 def reduce_negative_mode(

@@ -13,6 +13,7 @@ from ..voa.algebra import (
     MAX_LEVEL_CAP,
     AlgebraElement,
     AlgebraSpec,
+    BasisState,
     ModuleSpace,
     enumerate_basis,
     state_charge,
@@ -156,21 +157,37 @@ def npoint_oracle(req: NPointRequest) -> complex:
     return npoint_trace(req.module(), req.insertions, req.params.tau, req.params.trace_weights())
 
 
+def _grade(spec: AlgebraSpec, state: BasisState) -> tuple[float, float, int]:
+    """(weight, charge, parity) of a vacuum-module basis state."""
+    vac_sector = tuple(0.0 for _ in range(spec.rank)) if spec.kind == "heisenberg" else ()
+    return (
+        round(state_level(spec, state) * 2) / 2.0,
+        state_charge(spec, vac_sector, state),
+        state.parity,
+    )
+
+
 def element_weight_charge(spec: AlgebraSpec, v: AlgebraElement) -> tuple[float, float, int]:
     """(weight, charge, parity) of a homogeneous vacuum-module element."""
     if v.is_zero():
         raise UnsupportedInsertion("zero insertion has no defined weight")
-    vac_sector = tuple(0.0 for _ in range(spec.rank)) if spec.kind == "heisenberg" else ()
-    wts = set()
-    chs = set()
-    pars = set()
-    for state in v.terms:
-        wts.add(round(state_level(spec, state) * 2) / 2.0)
-        chs.add(state_charge(spec, vac_sector, state))
-        pars.add(state.parity)
-    if len(wts) != 1 or len(chs) != 1 or len(pars) != 1:
+    grades = {_grade(spec, state) for state in v.terms}
+    if len(grades) != 1:
         raise UnsupportedInsertion("insertion must be homogeneous in weight, charge, parity")
-    return wts.pop(), chs.pop(), pars.pop()
+    return grades.pop()
+
+
+def homogeneous_parts(spec: AlgebraSpec, v: AlgebraElement) -> tuple[AlgebraElement, ...]:
+    """v split into parts homogeneous in (weight, charge, parity), in the
+    order of those grades, each keeping v's term order; (v,) when v is
+    homogeneous already.  An n-point function is linear in each slot, so
+    it is the sum of its values at the parts."""
+    parts: dict[tuple, dict] = {}
+    for state, c in v.terms.items():
+        parts.setdefault(_grade(spec, state), {})[state] = c
+    if len(parts) < 2:
+        return (v,)
+    return tuple(AlgebraElement(parts[g]) for g in sorted(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -201,17 +218,26 @@ class LedgerTerm:
         return self.scale * self.kernel * self.child_value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class CoefficientLedger:
     """Evaluation tree of a full reduction.
 
     Leaves are zero-point functions (or directly evaluated traces); every
-    internal node stores its stage terms ordered by (k, m)."""
+    internal node stores its stage terms ordered by (k, m).  reduce_full
+    returns views of its reduction plan, which build `terms` on each read;
+    ledgers compare equal when their n, value, is_leaf and terms do."""
 
     n: int
     value: complex
     terms: tuple[LedgerTerm, ...]
     is_leaf: bool
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CoefficientLedger):
+            return NotImplemented
+        return (self.n, self.value, self.is_leaf, self.terms) == (
+            other.n, other.value, other.is_leaf, other.terms
+        )
 
     def reevaluate(self, tr: Truncation) -> complex:
         """Recompute the value with fresh kernel evaluations, reusing the

@@ -184,6 +184,13 @@ class AlgebraElement:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def key(self) -> tuple:
+        """The terms as a hashable tuple, in their order.
+
+        Equal keys give bit-identical mode actions: apply_mode sums the
+        images of the terms in this order."""
+        return tuple(self.terms.items())
+
     def norm1(self) -> float:
         return sum(abs(v) for v in self.terms.values())
 
@@ -678,12 +685,13 @@ def _round_modes(
         (f1, _), (f2, _) = state.boson
         _check_mode(ModeOp("a", 0, f1), spec)
         _check_mode(ModeOp("a", 0, f2), spec)
+        top_a = math.floor(module.cap)  # the largest boson label of the module
 
         def pair(n: int) -> Monomials:
-            # the two labels add up to n - 1
-            kmax = int(module.cap) + abs(n - 1) + 1
+            # the two labels add up to n - 1; a label past the top slot
+            # addresses no slot of the module, and a(0) is the sector scalar
             terms = []
-            for k in range(-kmax, kmax + 1):
+            for k in range(max(-top_a, n - 1 - top_a), min(top_a, n - 1 + top_a) + 1):
                 op1, op2 = ModeOp("a", k, f1), ModeOp("a", n - 1 - k, f2)
                 terms.append((coeff, (op2, op1) if k < 0 else (op1, op2)))
             return terms
@@ -691,11 +699,15 @@ def _round_modes(
         return pair
 
     if nosc == 2 and spec.kind == "complex_fermion" and state.ferm_b == state.ferm_c == (1,):
+        # the largest b and c labels of the module: label j of weight-w0
+        # species sits at level j - 1 + w0
+        top_b, top_c = (math.floor(module.cap + 1 - spec.species_weight(x)) for x in "bc")
 
         def bilinear(n: int) -> Monomials:
-            kmax = int(module.cap) + abs(n) + 2
+            # b(k) touches b label -k or c label k + 1, c(n - 1 - k) touches
+            # c label k + 1 - n or b label n - k: both must be slots
             terms = []
-            for k in range(-kmax, kmax + 1):
+            for k in range(max(-top_b, n - top_b), min(top_c - 1, n - 1 + top_c) + 1):
                 opb, opc = ModeOp("b", k), ModeOp("c", n - 1 - k)
                 if k >= 0 and opc.n < 0:
                     terms.append((-coeff, (opb, opc)))

@@ -267,8 +267,8 @@ def test_verify_specfun_passes_and_is_byte_stable():
 
 @pytest.mark.parametrize("flag, env", [(["--nq", "4"], {}), ([], {"JRL_DEFAULT_NQ": "4"})])
 def test_verify_truncation_reaches_reduction_checks(monkeypatch, capsys, flag, env):
-    # no reduction residual moves with n_q (both sides of the chain and kz
-    # checks share their kernels), so the requests themselves are inspected
+    # every request a reduction check builds carries the flag's n_q (the
+    # residual that moves with it is tested below)
     from jrl import cli
     from jrl.reduction import NPointRequest
 
@@ -379,3 +379,58 @@ def test_eval_rejects_malformed_values(tmp_path, entry, env, field):
     assert r.returncode == 2, r.stdout + r.stderr
     assert "Traceback" not in r.stderr
     assert "malformed" in r.stderr and field in r.stderr
+
+
+@pytest.mark.parametrize(
+    "state, stream, expect",
+    [
+        ({"ferm_b": [1.5]}, "stderr", "malformed request.insertions[0].state.ferm_b"),
+        ({"ferm_b": [1, 1]}, "stdout", "repeats a fermion label"),
+    ],
+    ids=["fractional_label", "repeated_label"],
+)
+def test_reduce_rejects_malformed_fermion_labels(tmp_path, state, stream, expect):
+    # the fraction used to end in a TypeError traceback with exit 1, the
+    # repeat in "outside the supported families"
+    bad = dict(BASE_REQUEST)
+    bad["algebra"] = {"kind": "complex_fermion"}
+    bad["sector"] = []
+    bad["insertions"] = [{"state": state, "z": [0.0, 0.12]}]
+    r = run_cli("reduce", "--oracle", request=bad, tmp_path=tmp_path)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "Traceback" not in r.stderr
+    assert expect in getattr(r, stream)
+
+
+def test_state_labels_are_canonicalised(tmp_path):
+    from jrl.cli import element_from_json
+    from jrl.voa import AlgebraElement, AlgebraSpec, BasisState
+
+    spec = AlgebraSpec(kind="heisenberg", rank=2)
+    pair = AlgebraElement.from_state(BasisState(boson=((0, 1), (1, 1))))
+    assert element_from_json(spec, {"boson": [[1, 1], [0, 1.0]]}, "x") == pair
+    docs = []
+    for boson in ([[0, 1], [1, 1]], [[1, 1], [0, 1]]):
+        doc = json.loads(json.dumps(BASE_REQUEST))
+        doc.update(algebra={"kind": "heisenberg", "rank": 2}, sector=[0.7, 0.3], cap=2.0)
+        doc["insertions"] = [{"state": {"boson": boson}, "z": [0.0, 0.12]}]
+        docs.append(run_cli("reduce", "--ledger", request=doc, tmp_path=tmp_path))
+    assert docs[0].returncode == 0, docs[0].stdout + docs[0].stderr
+    assert docs[0].stdout == docs[1].stdout
+
+
+def test_verify_nq_moves_a_reduction_residual(capsys, monkeypatch):
+    # two_current_negative_mode compares an E_2 kernel, a q-series cut at
+    # n_q, with the direct trace
+    from jrl import cli
+
+    monkeypatch.delenv("JRL_DEFAULT_NQ", raising=False)
+    reports = []
+    for flag in ([], ["--nq", "4"]):
+        assert cli.main(["verify", "--suite", "reduction", *flag]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    residuals = [
+        next(c["residual"] for c in doc["checks"] if c["name"] == "two_current_negative_mode")
+        for doc in reports
+    ]
+    assert residuals[0] < 1e-12 < 1e-7 < residuals[1] < 1e-5

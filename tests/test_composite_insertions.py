@@ -10,6 +10,7 @@ exp(-2 pi g headroom), g the smallest cyclic gap between the Im w_i.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -39,6 +40,7 @@ from jrl.voa import (
     square_bracket_image,
     state_level,
 )
+from jrl.voa.algebra import _round_modes, mode_image
 
 Z0 = 0.23 - 0.11j
 CF = AlgebraSpec(kind="complex_fermion", grading="charge_shifted")
@@ -77,6 +79,11 @@ COMPOSITE = {
     "Jbc,b,c": (CF, (), 5.0, 12, (JBC, B, C), FERMION_WS, True, 1e-8),
     # smallest gap 0.4 at headroom 8: exp(-2 pi 0.4 8) ~ 2e-9
     "a0a1,a1": (H2, (0.7, 0.3), 3.0, 8, (A0A1, A1), (0.1j, 0.5j), False, 1e-8),
+    # the pair last: its image a0a1[0].a0 = a1(-2) + a1(-1) is reduced part by part
+    "a0,a0a1": (H2, (0.7, 0.3), 3.0, 8, (A0, A0A1), (0.1j, 0.5j), False, 1e-8),
+    # smallest gap 0.2 at headroom 8: exp(-2 pi 0.2 8) ~ 4e-5 of the trace
+    # weight; the reduction and the trace agree to 1.1e-7
+    "a0,a0a1,a1": (H2, (0.7, 0.3), 2.0, 8, (A0, A0A1, A1), (0.1j, 0.4j, 0.7j), False, 1e-6),
 }
 
 
@@ -114,7 +121,7 @@ KINDS = {
     "natural": (CFN, (), True, FERMION_SETS),
     "real_fermion": (RF, (), True, [(B, B), (B2, B)]),
 }
-HEISENBERG_FIRST = [A0, A1, A2, A0A1, A0A0]
+PAIRS = [A0A1, A0A0]
 
 
 @st.composite
@@ -123,12 +130,16 @@ def requests(draw):
     if kind == "heisenberg":
         spec, sector, supertrace = H2, (0.7, 0.3), False
         n = draw(st.integers(1, 3))
-        # The reduction takes a weight-2 pair in the first slot only: once a
-        # later slot is reduced the pair is last, and its square-bracket
-        # images mix weights.  Three fields with a(-2) need more headroom.
-        later = [A0, A1] if n == 3 else [A0, A1, A2]
-        states = [draw(st.sampled_from(HEISENBERG_FIRST))]
-        states += [draw(st.sampled_from(later)) for _ in range(n - 1)]
+        # One weight-2 pair may sit in any slot: its mixed-weight square-
+        # bracket images are reduced part by part.  With two pairs the
+        # images hold shapes such as a(-1)a(-2)vac that the reduction does
+        # not take.  Three fields with a(-2) need more headroom.
+        pair_slot = draw(st.sampled_from([None, *range(n)]))
+        singles = [A0, A1] if n == 3 else [A0, A1, A2]
+        states = [
+            draw(st.sampled_from(PAIRS if i == pair_slot else [A0, A1, A2] if i == 0 else singles))
+            for i in range(n)
+        ]
     else:
         spec, sector, supertrace, sets = KINDS[kind]
         states = draw(st.permutations(draw(st.sampled_from(sets))))
@@ -261,3 +272,34 @@ def test_square_bracket_images_stop_at_the_target_level(kind):
                     assert got.plus(want.scaled(-1.0)).norm1() <= 1e-12 * max(1.0, want.norm1())
             # the shifted images sum the same zero tail
             assert shifted_square_bracket_image(module, v, last + 1, 0.7, x).is_zero()
+
+
+@pytest.mark.parametrize(
+    "spec, sector, cap, v",
+    [
+        (H2, (0.7, 0.3), 3.0, A0A1),
+        (H2, (0.7, 0.3), 4.0, A0A0),
+        (CF, (), 6.0, JBC),
+        (CFN, (), 3.5, current_state(CFN)),
+    ],
+    ids=["pair", "square", "bilinear_charge_shifted", "bilinear_natural"],
+)
+def test_round_modes_drop_only_monomials_that_vanish(spec, sector, cap, v):
+    # the quadratic shapes stop at the module's top creator labels; every
+    # monomial of the wider reach that they leave out kills every state
+    module = enumerate_basis(spec, sector, cap)
+    every = np.arange(module.dim)
+    (state,) = v.terms
+    for n in range(-4, 7):
+        kept = [modes for _, modes in _round_modes(module, state, 1.0)(n)]
+        wide = [modes for _, modes in round_mode_reference(state, n, int(cap) + abs(n) + 3)]
+        assert kept == [modes for modes in wide if modes in kept]
+        for modes in wide:
+            if modes in kept:
+                continue
+            target, coeff = every.copy(), np.ones(module.dim)
+            for op in modes:
+                hit = coeff.nonzero()[0]
+                target[hit], c = mode_image(op, module, target[hit])
+                coeff[hit] *= c
+            assert not coeff.any(), (n, modes)

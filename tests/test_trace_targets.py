@@ -64,7 +64,7 @@ def test_checks_still_import_from_cli():
     from jrl import checks
     from jrl.cli import CHECKS
 
-    assert CHECKS is checks.CHECKS and len({c.name for c in CHECKS}) == len(CHECKS) == 20
+    assert CHECKS is checks.CHECKS and len({c.name for c in CHECKS}) == len(CHECKS) == 21
 
 
 def test_traced_eval_calls_each_kernel_once_per_entry(tmp_path, capsys):
@@ -87,3 +87,22 @@ def test_traced_eval_calls_each_kernel_once_per_entry(tmp_path, capsys):
     for entry, span in zip(EVAL_BATCH, entries):
         children = [s[1] for s in tracer.spans if s[4] == span[0]]
         assert children == expected[entry["fn"]], entry["fn"]
+
+
+def test_reduce_full_ledger_walks_as_the_traced_run_reads_it():
+    # the traced run's ledger hook counts out[1].walk() nodes and their is_leaf
+    from jrl.reduction import JacobiParams, NPointRequest, reduce_full
+    from jrl.specfun import ModularPoint
+    from jrl.voa import AlgebraSpec, current_state
+
+    heis = AlgebraSpec(kind="heisenberg", rank=1)
+    J = current_state(heis)
+    req = NPointRequest(
+        spec=heis, sector=(0.6,), cap=4.0,
+        insertions=((J, 0.12j), (J, 0.31j), (J, 0.5 + 0.42j)),
+        params=JacobiParams(z=0.23 - 0.11j, tau=ModularPoint(0.5j)),
+    )
+    nodes = list(reduce_full(req)[1].walk())
+    assert len(nodes) > 1 and any(node.is_leaf for node in nodes)
+    for node in nodes:
+        assert isinstance(node.is_leaf, bool) and isinstance(node.terms, tuple)
