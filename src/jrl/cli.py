@@ -145,16 +145,19 @@ def element_from_json(spec: AlgebraSpec, desc, where: str) -> AlgebraElement:
         raise UsageError(f"unknown state descriptor {desc!r} in {where}")
     where = f"{where}.state"
     _check_fields(desc, {"boson", "ferm_b", "ferm_c"}, set(), where)
-    # one spelling per state: integer labels in canonical (sorted) order;
-    # the fermion lists name a basis state, a set of distinct labels
+    # one spelling per state: integer labels, boson pairs in sorted order
+    # (the creators commute); fermion labels distinct and ascending, as
+    # reordering anticommuting creators would change the sign
     pairs = _get(
         desc, "boson", lambda ps: sorted((_integer(f), _integer(l)) for f, l in ps), where, ()
     )
     fermions = {}
     for species in ("ferm_b", "ferm_c"):
-        labels = _get(desc, species, lambda xs: sorted(_integer(x) for x in xs), where, ())
+        labels = _get(desc, species, lambda xs: [_integer(x) for x in xs], where, ())
         if len(set(labels)) != len(labels):
             raise DomainViolation(f"{where}.{species} repeats a fermion label: {labels}")
+        if labels != sorted(labels):
+            raise UsageError(f"{where}.{species} labels must be ascending, got {labels}")
         fermions[species] = tuple(labels)
     return AlgebraElement.from_state(BasisState(boson=tuple(pairs), **fermions))
 

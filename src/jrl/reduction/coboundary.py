@@ -7,7 +7,7 @@ reduction right-hand side driven by the new insertion.  Composing two
 applications gives the chain map whose residual chain_condition_residual
 samples on a seeded grid.
 
-All four variants are read from the one stage table `steps.stage_rows`;
+All four variants are read from the one stage table `steps.stage_table`;
 a stage contribution is one of its rows evaluated on the family, so
 "simplest" is the reduce_step table by construction.
 
@@ -29,8 +29,8 @@ import numpy as np
 
 from ..errors import DomainViolation, GridDegenerate
 from ..voa.algebra import AlgebraElement
-from .steps import VARIANTS, reduce_full, stage_rows
-from .types import NPointRequest, npoint_oracle
+from .steps import ONE, VARIANTS, reduce_full, stage_table
+from .types import NPointRequest, npoint_oracle, specfun_kernel
 
 
 @dataclass(frozen=True)
@@ -85,14 +85,20 @@ def stage_contributions(
     the stage rows of `variant`, each child evaluated on `family`.
 
     vs/ws carry n+1 entries; the last is the distinguished insertion."""
-    rows = stage_rows(variant, context, vs, ws)[3]
-    base_vs, base_ws = vs[:-1], tuple(map(complex, ws[:-1]))
+    ws = tuple(map(complex, ws))
+    table = stage_table(variant, context, vs, ws)[3]
+    base_vs, base_ws = vs[:-1], ws[:-1]
     out: list[StageContribution] = []
-    for kind, k, m, name, _, scale, kernel, img, leaf in rows:
+    for row in table:
+        if row.kind == "kernel":
+            scale, leaf = row.scale, None
+            kernel = specfun_kernel(row.name, row.kernel_args(ws), context.truncation)
+            mod_vs = base_vs[: row.k - 1] + (row.image,) + base_vs[row.k :]
+        else:
+            (scale, leaf), kernel, mod_vs = row.zero_term(context, vs, ws), ONE, base_vs
         if leaf is None:
-            mod_vs = base_vs if k == 0 else base_vs[: k - 1] + (img,) + base_vs[k:]
             leaf = family.evaluate(mod_vs, base_ws)
-        out.append(StageContribution(kind, k, m, name, scale * kernel * leaf))
+        out.append(StageContribution(row.kind, row.k, row.m, row.name, scale * kernel * leaf))
     return out
 
 

@@ -22,8 +22,8 @@ slots before it, and all right-hand terms carry the global sign
 two-point functions.
 
 This right-hand side is written down once, as the position-free stage
-table `stage_table`; `stage_rows` evaluates it at the positions.
-`reduce_step` wraps its "simplest" rows with child requests and
+table `stage_table`.  `reduce_step` evaluates its "simplest" rows at the
+positions, each with its child request, and
 `coboundary.stage_contributions` evaluates the rows of any variant on a
 FunctionFamily.  `reduce_full` builds the whole tree of "simplest" tables
 once per request family, as a `ReductionPlan`, and evaluates it at each
@@ -108,13 +108,6 @@ def _bracket_image(spec: AlgebraSpec, v: AlgebraElement, m: int, x: AlgebraEleme
     return shifted_square_bracket_image(vac, v, m, shift, x)
 
 
-@lru_cache(maxsize=4096)
-def _memo_bracket_image(spec: AlgebraSpec, v_key: tuple, m: int, x_key: tuple, shift):
-    """_bracket_image from the elements' keys: the positions, tau and z do
-    not enter an image, so every plan of the same elements shares it."""
-    return _bracket_image(spec, AlgebraElement(dict(v_key)), m, AlgebraElement(dict(x_key)), shift)
-
-
 def bracket_images(
     spec: AlgebraSpec,
     v: AlgebraElement,
@@ -125,7 +118,6 @@ def bracket_images(
     last: int | None = None,
     shift: int | None = None,
     strict: bool = False,
-    memo: bool = False,
 ):
     """Yield (k, m, v[m].x_k, sign) for every nonzero image, k from 1 and m rising.
 
@@ -133,20 +125,13 @@ def bracket_images(
     past which v[m] annihilates x_k; with `shift` the lattice-shifted modes
     v[m]_shift are used.  sign = (-1)^{par (p(x_1) + ... + p(x_{k-1}))}.
     The parity of x_k is read after its images when a later sign needs it,
-    and always when `strict`, so that a zero or inhomogeneous x_k raises.
-    With `memo` the images come from a memo keyed on the elements' terms
-    and are shared between callers, so they must not be modified."""
-    v_key = v.key() if memo else None
+    and always when `strict`, so that a zero or inhomogeneous x_k raises."""
     prefix = 0
     for k, x in enumerate(elements, start=1):
         sign = -1.0 if par and prefix % 2 else 1.0
         stop = last_mode(spec, wt, x) if last is None else last
-        x_key = x.key() if memo else None
         for m in range(first, stop + 1):
-            if memo:
-                img = _memo_bracket_image(spec, v_key, m, x_key, shift)
-            else:
-                img = _bracket_image(spec, v, m, x, shift)
+            img = _bracket_image(spec, v, m, x, shift)
             if not img.is_zero():
                 yield k, m, img, sign
         if strict or (par and k < len(elements)):
@@ -249,18 +234,22 @@ class StageRow:
         return args
 
 
-def stage_table(variant: str, context: NPointRequest, vs: tuple, memo: bool = False):
+def _check_separations(ws: tuple, tau) -> None:
+    """Validate w_d - w_k of every slot k, also of slots without images."""
+    for w_k in ws[:-1]:
+        AnnulusPoint(ws[-1] - w_k, tau)
+
+
+def stage_table(variant: str, context: NPointRequest, vs: tuple, ws: tuple | None = None):
     """The position-free stage table of one coboundary variant at insertion
     elements vs (n+1 entries, the last distinguished).
 
     context supplies the spec, sector and flux (its insertions are not
     read).  Returns (branch, phi, theta, rows), rows a tuple of StageRow:
     the zero rows first, then the kernel rows by (k, m).  The `main`
-    admissibility check and the branch selection run here.  `memo` is
-    passed to bracket_images: the reduction plans take their images from
-    the memo, and a cold plan build then costs little more than one
-    evaluation; the stage rows, the negative-mode rule and the identities
-    compute theirs per call."""
+    admissibility check and the branch selection run here.  Given complex
+    positions ws, the separations w_d - w_k are checked after the branch
+    selection, before any image is taken."""
     if variant not in VARIANTS:
         raise DomainViolation(f"unknown variant {variant!r}")
     spec = context.spec
@@ -273,7 +262,7 @@ def stage_table(variant: str, context: NPointRequest, vs: tuple, memo: bool = Fa
     global_sign = -1.0 if par_d else 1.0
 
     if variant == "main":
-        for _, m, _, _ in bracket_images(spec, v_d, wt_d, 0, base_vs, first=1, memo=memo):
+        for _, m, _, _ in bracket_images(spec, v_d, wt_d, 0, base_vs, first=1):
             raise AdmissibilityViolation(
                 f"v[{m}].v_k is nonzero; the plain-coefficient variant does not apply"
             )
@@ -284,6 +273,8 @@ def stage_table(variant: str, context: NPointRequest, vs: tuple, memo: bool = Fa
         branch = _select_branch(context, ch_d, True)
     else:
         branch = None
+    if ws is not None:
+        _check_separations(ws, tau)
 
     rows: list[StageRow] = []
     lattice = branch is not None and branch.kind == "lattice"
@@ -308,50 +299,12 @@ def stage_table(variant: str, context: NPointRequest, vs: tuple, memo: bool = Fa
     else:
         shift, k_branch, k_twist = None, branch, twist
     az = ch_d * complex(context.params.z)
-    images = bracket_images(spec, v_d, wt_d, par_d, base_vs, shift=shift, strict=True, memo=memo)
+    images = bracket_images(spec, v_d, wt_d, par_d, base_vs, shift=shift, strict=True)
     for k, m, img, sign in images:
         # w = 0 holds the place of the separation, filled in at the positions
         name, args = kernel_spec(m + 1, tau.tau, 0j, k_branch, k_twist, az)
         rows.append(StageRow("kernel", k, m, name, args, global_sign * sign, image=img))
     return branch, phi, theta, tuple(rows)
-
-
-def _check_separations(ws: tuple, tau) -> None:
-    """Validate w_d - w_k of every slot k, also of slots without images."""
-    for w_k in ws[:-1]:
-        AnnulusPoint(ws[-1] - w_k, tau)
-
-
-def stage_rows(variant: str, context: NPointRequest, vs: tuple, ws: tuple):
-    """The stage table of one coboundary variant at insertions (vs, ws).
-
-    vs/ws carry n+1 entries, the last distinguished; context supplies the
-    spec, sector, flux, truncation and module (its insertions are not
-    read).  Returns (branch, phi, theta, rows); rows lazily yields
-
-        (kind, k, m, name, args, scale, kernel, image, leaf)
-
-    for the term scale * kernel * child, where child is the ready trace
-    `leaf` when it is not None, else the n-point function at vs[:-1] with
-    slot k replaced by image (k = 0: unchanged).  The rows are those of
-    `stage_table`, evaluated at the positions."""
-    branch, phi, theta, table = stage_table(variant, context, vs)
-    ws = tuple(map(complex, ws))
-
-    def rows():
-        tau = context.params.tau
-        tr = context.truncation
-        zero = [row for row in table if row.kind != "kernel"]
-        for row in zero:
-            scale, leaf = row.zero_term(context, vs, ws)
-            yield row.kind, 0, 0, row.name, row.args, scale, ONE, None, leaf
-        _check_separations(ws, tau)
-        for row in table[len(zero):]:
-            args = row.kernel_args(ws)
-            kernel = specfun_kernel(row.name, args, tr)
-            yield row.kind, row.k, row.m, row.name, args, row.scale, kernel, row.image, None
-
-    return branch, phi, theta, rows()
 
 
 # ---------------------------------------------------------------------------
@@ -367,16 +320,17 @@ class _PlanNode:
     `size` counts the numbers an evaluation records for the subtree: per
     row its kernel (a zero row: its scale), the child's records and the
     child's value.  Rows with an inhomogeneous image come once per
-    homogeneous part of it."""
+    homogeneous part of it.  The positions ws of the build only serve the
+    separation checks of `stage_table`."""
 
     __slots__ = ("n", "vs", "rows", "leaf", "size")
 
-    def __init__(self, family: NPointRequest, vs: tuple, nodes: dict, leaf_value):
+    def __init__(self, family: NPointRequest, vs: tuple, ws: tuple, nodes: dict, leaf_value):
         self.n = len(vs)
         self.vs = vs
         self.leaf = leaf_value() if not vs else None
         rows = []
-        for row in stage_table("simplest", family, vs, memo=True)[3] if vs else ():
+        for row in stage_table("simplest", family, vs, ws[: self.n])[3] if vs else ():
             # (row, child node, kernel key): the kernel key names the kernel
             # of a kernel row, which is the same wherever (name, args, d, k) are
             if row.kind == "kernel":
@@ -384,21 +338,21 @@ class _PlanNode:
                 kkey = (row.name, self.n, row.k, tuple(row.args.items()))
                 for part in homogeneous_parts(family.spec, row.image):
                     child_vs = base[: row.k - 1] + (part,) + base[row.k :]
-                    rows.append((row, _node(family, child_vs, nodes, leaf_value), kkey))
+                    rows.append((row, _node(family, child_vs, ws, nodes, leaf_value), kkey))
             elif row.trace_lam is not None:
                 rows.append((row, None, None))
             else:
-                rows.append((row, _node(family, vs[:-1], nodes, leaf_value), None))
+                rows.append((row, _node(family, vs[:-1], ws, nodes, leaf_value), None))
         self.rows = tuple(rows)
         self.size = sum(2 + (child.size if child is not None else 0) for _, child, _ in rows)
 
 
-def _node(family: NPointRequest, vs: tuple, nodes: dict, leaf_value) -> _PlanNode:
+def _node(family: NPointRequest, vs: tuple, ws: tuple, nodes: dict, leaf_value) -> _PlanNode:
     """The node of vs, shared by every occurrence in one plan."""
     key = tuple(v.key() for v in vs)
     node = nodes.get(key)
     if node is None:
-        node = nodes[key] = _PlanNode(family, vs, nodes, leaf_value)
+        node = nodes[key] = _PlanNode(family, vs, ws, nodes, leaf_value)
     return node
 
 
@@ -414,23 +368,33 @@ class ReductionPlan:
     and the degeneracy test, in the order and with the arithmetic of a
     direct recursion, so its values are the same bit for bit."""
 
-    __slots__ = ("family", "root")
+    __slots__ = ("family", "vs", "root")
 
     def __init__(self, family: NPointRequest, vs: tuple[AlgebraElement, ...]):
         self.family = family
-        params = family.params
+        self.vs = vs
+        self.root = None
+
+    def _build(self, ws: tuple) -> _PlanNode:
+        family, params = self.family, self.family.params
         # one zero-point function per plan, computed when a leaf needs it:
         # every leaf has the family's module, tau and trace weights
         leaf_value = cache(
             lambda: partition_function(family.module(), params.tau, params.trace_weights())
         )
-        self.root = _node(family, vs, {}, leaf_value)
+        return _node(family, self.vs, ws, {}, leaf_value)
 
     def evaluate(self, ws) -> tuple[complex, CoefficientLedger]:
-        """(value, ledger) of the reduction at positions ws, one per insertion."""
+        """(value, ledger) of the reduction at positions ws, one per insertion.
+
+        The first evaluation builds the tree, stage by stage as a direct
+        recursion meets them, so a request with bad positions raises where
+        that recursion would; a build that raises leaves no tree behind."""
         ws = tuple(map(complex, ws))
-        if len(ws) != self.root.n:
-            raise DomainViolation(f"plan expects {self.root.n} positions, got {len(ws)}")
+        if len(ws) != len(self.vs):
+            raise DomainViolation(f"plan expects {len(self.vs)} positions, got {len(ws)}")
+        if self.root is None:
+            self.root = self._build(ws)
         if not ws:
             leaf = self.root.leaf
             return leaf, CoefficientLedger(n=0, value=leaf, terms=(), is_leaf=True)
@@ -446,8 +410,8 @@ def _evaluate(node: _PlanNode, ws: tuple, family: NPointRequest, kernels: dict, 
         return node.leaf
     ws_n = ws[: node.n]
     tr = family.truncation
-    # as in stage_rows: the zero rows (they come first), the separations,
-    # then the kernels, each distinct one once per evaluation
+    # as in a direct stage: the zero rows (they come first), the
+    # separations, then the kernels, each distinct one once per evaluation
     xs: list = []
     leaves: list = []
     for row, _, kkey in node.rows:
@@ -531,13 +495,9 @@ PLAN_CACHE_SIZE = 256
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _cached_plan(family: NPointRequest, keys: tuple) -> ReductionPlan:
+    """The plan of a family, a request without insertions, and the keys of
+    its elements; the cache holds the last PLAN_CACHE_SIZE families."""
     return ReductionPlan(family, tuple(AlgebraElement(dict(key)) for key in keys))
-
-
-def reduction_plan(req: NPointRequest) -> ReductionPlan:
-    """The cached plan of req's family: req without its positions.  The
-    cache holds the last PLAN_CACHE_SIZE families."""
-    return _cached_plan(req.with_insertions(()), tuple(v.key() for v, _ in req.insertions))
 
 
 # ---------------------------------------------------------------------------
@@ -547,32 +507,37 @@ def reduction_plan(req: NPointRequest) -> ReductionPlan:
 
 def reduce_step(req: NPointRequest) -> StepResult:
     """One reduction stage acting on the last insertion: the "simplest"
-    stage rows, each with its child request."""
+    stage rows at the request's positions, each with its child request."""
     if req.n < 1:
         raise UnsupportedInsertion("nothing to reduce in a zero-point request")
     base = req.insertions[:-1]
-    vs, ws = zip(*req.insertions)
-    branch, phi, theta, rows = stage_rows("simplest", req, vs, ws)
+    vs = tuple(v for v, _ in req.insertions)
+    ws = tuple(complex(w) for _, w in req.insertions)
+    branch, phi, theta, table = stage_table("simplest", req, vs, ws)
     terms: list[StepTerm] = []
-    for kind, k, m, name, args, scale, kernel, img, leaf in rows:
-        if leaf is not None:
-            child = None
-        elif k == 0:
-            child = req.with_insertions(base)
+    for row in table:
+        if row.kind == "kernel":
+            args = row.kernel_args(ws)
+            kernel = specfun_kernel(row.name, args, req.truncation)
+            k = row.k
+            child = req.with_insertions(base[: k - 1] + ((row.image, base[k - 1][1]),) + base[k:])
+            terms.append(StepTerm(row.kind, k, row.m, row.name, args, row.scale, kernel, child))
         else:
-            child = req.with_insertions(base[: k - 1] + ((img, base[k - 1][1]),) + base[k:])
-        terms.append(StepTerm(kind, k, m, name, args, scale, kernel, child, leaf))
+            scale, leaf = row.zero_term(req, vs, ws)
+            child = req.with_insertions(base) if leaf is None else None
+            terms.append(StepTerm(row.kind, 0, 0, row.name, row.args, scale, ONE, child, leaf))
     return StepResult(branch=branch, phi=phi, theta=theta, terms=tuple(terms))
 
 
 def reduce_full(req: NPointRequest) -> tuple[complex, CoefficientLedger]:
-    """Full recursive reduction down to zero-point traces: the request's
-    plan (`reduction_plan`) evaluated at its positions.  Inhomogeneous
-    square-bracket images are reduced part by part.
+    """Full recursive reduction down to zero-point traces: the cached plan
+    of the request's family (`ReductionPlan`) evaluated at its positions.
+    Inhomogeneous square-bracket images are reduced part by part.
 
     Raises DegenerateInsertion when a stage with nonzero contributions
     sums to a value smaller than roundoff allows ratios to survive."""
-    return reduction_plan(req).evaluate(w for _, w in req.insertions)
+    plan = _cached_plan(req.with_insertions(()), tuple(v.key() for v, _ in req.insertions))
+    return plan.evaluate(w for _, w in req.insertions)
 
 
 def reduce_negative_mode(

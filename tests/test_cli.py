@@ -386,8 +386,10 @@ def test_eval_rejects_malformed_values(tmp_path, entry, env, field):
     [
         ({"ferm_b": [1.5]}, "stderr", "malformed request.insertions[0].state.ferm_b"),
         ({"ferm_b": [1, 1]}, "stdout", "repeats a fermion label"),
+        # b(-2)b(-1) = -b(-1)b(-2): sorting would drop the sign
+        ({"ferm_c": [2, 1]}, "stderr", "request.insertions[0].state.ferm_c labels must be ascending"),
     ],
-    ids=["fractional_label", "repeated_label"],
+    ids=["fractional_label", "repeated_label", "unsorted_labels"],
 )
 def test_reduce_rejects_malformed_fermion_labels(tmp_path, state, stream, expect):
     # the fraction used to end in a TypeError traceback with exit 1, the

@@ -9,6 +9,7 @@ from dataclasses import replace
 import pytest
 
 from jrl.cli import ledger_to_json
+from jrl.errors import DomainViolation, UnsupportedInsertion
 from jrl.reduction import (
     CoefficientLedger,
     JacobiParams,
@@ -19,7 +20,14 @@ from jrl.reduction import (
 )
 from jrl.reduction import steps
 from jrl.specfun import ModularPoint
-from jrl.voa import AlgebraSpec, current_state, oscillator_state, partition_function
+from jrl.voa import (
+    AlgebraElement,
+    AlgebraSpec,
+    BasisState,
+    current_state,
+    oscillator_state,
+    partition_function,
+)
 
 TAU = ModularPoint(0.2 + 0.8j)
 Z0 = 0.23 - 0.11j
@@ -80,7 +88,6 @@ def at(req, ws):
 
 def clear_caches():
     steps._cached_plan.cache_clear()
-    steps._memo_bracket_image.cache_clear()
 
 
 def fingerprint(result, req):
@@ -122,3 +129,25 @@ def test_plan_cache_stays_at_its_bound():
     info = steps._cached_plan.cache_info()
     assert info.maxsize == steps.PLAN_CACHE_SIZE
     assert info.currsize == steps.PLAN_CACHE_SIZE
+
+
+def test_bad_positions_raise_before_an_unsupported_image():
+    # the pair a0a1 maps a0a0 onto a0(-1)a1(-2), whose zero modes are
+    # outside the supported shapes; a direct recursion checks the root's
+    # separations before it takes any image, and so does the plan build
+    H2 = AlgebraSpec(kind="heisenberg", rank=2)
+    pair = lambda *b: AlgebraElement.from_state(BasisState(boson=b))  # noqa: E731
+    states = (pair((0, 1)), pair((0, 1), (0, 1)), pair((0, 1), (1, 1)))
+    req = NPointRequest(
+        spec=H2, sector=(0.7, 0.3), cap=2.0, headroom=8,
+        insertions=tuple(zip(states, (0.1j, 0.4j, 0.05j))),
+        params=JacobiParams(z=Z0, tau=ModularPoint(0.8j)),
+    )
+    clear_caches()
+    with pytest.raises(DomainViolation, match="0 < Im w < Im tau"):
+        reduce_full(req)
+    with pytest.raises(DomainViolation, match="0 < Im w < Im tau"):
+        reduce_step(req)
+    # the failed build left no tree: good positions meet the image fault
+    with pytest.raises(UnsupportedInsertion, match="outside the supported families"):
+        reduce_full(at(req, (0.1j, 0.4j, 0.7j)))
