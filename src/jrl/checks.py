@@ -42,7 +42,6 @@ from .voa import (
     AlgebraSpec,
     ModeOp,
     TraceWeights,
-    apply_mode,
     current_state,
     enumerate_basis,
     kappa,
@@ -50,6 +49,7 @@ from .voa import (
     partition_function,
     square_bracket_image,
 )
+from .voa.algebra import apply_terms
 
 
 @dataclass(frozen=True)
@@ -238,18 +238,17 @@ def _chk_kappa_reference(tr: Truncation) -> float:
 
 
 def _chk_mode_commutator(tr: Truncation) -> float:
+    # [a(2), a(-2)] - 2 as mode monomials, modes[0] acting first
     spec = AlgebraSpec(kind="heisenberg", rank=1)
     module = enumerate_basis(spec, (0.3,), 6)
     up = ModeOp("a", -2)
     dn = ModeOp("a", 2)
+    commutator = [(1.0, (up, dn)), (-1.0, (dn, up)), (-2.0, ())]
     r = 0.0
     for s in module.states:
         if module.level(s) > 4:
             continue  # keep a(-2) images inside the cap
-        x = AlgebraElement.from_state(s)
-        lhs = apply_mode(dn, apply_mode(up, x, module), module)
-        rhs = apply_mode(up, apply_mode(dn, x, module), module).plus(x.scaled(2.0))
-        r = max(r, lhs.plus(rhs.scaled(-1.0)).norm1())
+        r = max(r, apply_terms(module, commutator, AlgebraElement.from_state(s)).norm1())
     return r
 
 

@@ -586,16 +586,21 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except JrlError as exc:
-        report = {
-            "schema": SCHEMA,
-            "command": args.command,
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-        }
-        sys.stdout.write(dump_report(report))
+        sys.stdout.write(_error_report(args.command, type(exc).__name__, str(exc)))
         return 2
     except (OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except Exception as exc:  # a bug: exit 3 with a report, never a traceback
+        message = f"{type(exc).__name__}: {exc}"
+        sys.stdout.write(_error_report(args.command, "internal_error", message))
+        return 3
+
+
+def _error_report(command: str, kind: str, message: str) -> str:
+    return dump_report(
+        {"schema": SCHEMA, "command": command, "error": {"type": kind, "message": message}}
+    )
 
 
 if __name__ == "__main__":

@@ -45,7 +45,7 @@ from ..errors import (
     UnsupportedInsertion,
 )
 from ..specfun.points import AnnulusPoint, TwistPair, phase
-from ..voa.algebra import VACUUM, AlgebraElement, AlgebraSpec
+from ..voa.algebra import VACUUM, AlgebraElement, AlgebraSpec, state_level
 from ..voa.squarebracket import last_mode, shifted_square_bracket_image, square_bracket_image
 from ..voa.trace import graded_trace, partition_function
 from .types import (
@@ -101,8 +101,15 @@ def _select_branch(req: NPointRequest, alpha: float, integer_weight: bool) -> Br
 
 
 def _bracket_image(spec: AlgebraSpec, v: AlgebraElement, m: int, x: AlgebraElement, shift):
-    """v[m].x (shift None) or v[m]_shift.x on the vacuum module."""
-    vac = vacuum_module(spec)
+    """v[m].x (shift None) or v[m]_shift.x on a vacuum module that holds x
+    and the image.
+
+    v(j) lowers the level by j - wt + 1 with j >= m, so the image lies at
+    most wt - 1 - m levels above the top level of x; the cap covers that,
+    and is never below 6."""
+    top = max((state_level(spec, s) for s in x.terms), default=0.0)
+    wt = max((state_level(spec, s) for s in v.terms), default=0.0)
+    vac = vacuum_module(spec, float(max(6, math.ceil(top + max(wt - 1 - m, 0)))))
     if shift is None:
         return square_bracket_image(vac, v, m, x)
     return shifted_square_bracket_image(vac, v, m, shift, x)

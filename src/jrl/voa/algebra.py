@@ -18,13 +18,16 @@ Basis states are canonical products: boson creators as a sorted multiset of
 with the b block left of the c block.  All fermionic signs are relative to
 that ordering.
 
-For array traces a module also carries `FockArrays`: an exact integer key
-per state, built from the occupations of its creator slots, one slot per
-(species, flavor, label).  Fermion occupations are bits, so the key of a
-fermionic state is its bit string; boson occupations are packed
-mixed-radix.  A single mode then acts on a vector of state indices by
-integer arithmetic on the keys plus `np.searchsorted` (the usual
-exact-diagonalisation encoding, H. Q. Lin, Phys. Rev. B 42, 6561 (1990)).
+A module also carries `FockArrays`: an exact integer key per state, built
+from the occupations of its creator slots, one slot per (species, flavor,
+label).  Fermion occupations are bits, so the key of a fermionic state is
+its bit string; boson occupations are packed mixed-radix.  A single mode
+acts on a vector of state indices by integer arithmetic on the keys plus
+`np.searchsorted` (the usual exact-diagonalisation encoding, H. Q. Lin,
+Phys. Rev. B 42, 6561 (1990)).  That action, `mode_image`, is the only
+one: the traces use it on index arrays, and `apply_terms`, `apply_mode`
+and `zero_mode_operator` map an element's states to indices, chain it
+over mode monomials and convert back to an `AlgebraElement`.
 """
 
 from __future__ import annotations
@@ -187,7 +190,7 @@ class AlgebraElement:
     def key(self) -> tuple:
         """The terms as a hashable tuple, in their order.
 
-        Equal keys give bit-identical mode actions: apply_mode sums the
+        Equal keys give bit-identical mode actions: apply_terms sums the
         images of the terms in this order."""
         return tuple(self.terms.items())
 
@@ -231,6 +234,11 @@ class ModuleSpace:
         """Array form of the basis, built on the first array trace."""
         return FockArrays(self)
 
+    @cached_property
+    def index(self) -> dict[BasisState, int]:
+        """Position of each basis state in `states`."""
+        return {s: i for i, s in enumerate(self.states)}
+
 
 # keys stay below this bound, so that integer arithmetic on them is exact
 _KEY_LIMIT = 1 << 62
@@ -261,6 +269,7 @@ class FockArrays:
     g.  Most modules need one group, whose code is the key.  Every key
     stays below 2^62, and the final key is injective on the basis.
     `level`, `charge` and `parity` are per-state arrays in module order.
+    `operators` keeps the zero-mode tables of `zero_mode_operator`.
     """
 
     def __init__(self, module: ModuleSpace):
@@ -281,6 +290,7 @@ class FockArrays:
                     slot_level.append(j - 1.0 + w0)
                     j += 1
         self.slot_index = {slot: s for s, slot in enumerate(slots)}
+        self.operators: dict = {}
         self.slot_level = slot_level
         if spec.kind == "heisenberg":
             self.slot_radix = [int(cap // l) + 1 for l in slot_level]
@@ -458,23 +468,6 @@ def enumerate_basis(
     return ModuleSpace(spec=spec, sector=tuple(sector), cap=float(cap), states=tuple(states))
 
 
-def _fermion_insert(levels: tuple[int, ...], j: int) -> tuple[int, tuple[int, ...]] | None:
-    """Insert creator label j into an ascending tuple; None if already present.
-    Returns (sign exponent, new tuple)."""
-    if j in levels:
-        return None
-    pos = sum(1 for x in levels if x < j)
-    return pos, tuple(sorted(levels + (j,)))
-
-
-def _fermion_remove(levels: tuple[int, ...], j: int) -> tuple[int, tuple[int, ...]] | None:
-    """Remove creator label j; None if absent.  Returns (sign exponent, new tuple)."""
-    if j not in levels:
-        return None
-    pos = sum(1 for x in levels if x < j)
-    return pos, tuple(x for x in levels if x != j)
-
-
 def _check_mode(op: ModeOp, spec: AlgebraSpec) -> None:
     if op.species == "a":
         if spec.kind != "heisenberg":
@@ -487,98 +480,6 @@ def _check_mode(op: ModeOp, spec: AlgebraSpec) -> None:
         raise UnsupportedInsertion("c modes exist on the complex fermion only")
 
 
-def apply_mode(op: ModeOp, x: AlgebraElement, module: ModuleSpace) -> AlgebraElement:
-    """Left action of a single mode on an element; image states above
-    module.cap are dropped."""
-    spec = module.spec
-    out = AlgebraElement()
-    cap = module.cap
-
-    _check_mode(op, spec)
-    if op.species == "a":
-        for state, coeff in x.terms.items():
-            if op.n < 0:
-                l = -op.n
-                if state_level(spec, state) + l > cap:
-                    continue
-                out.add_term(
-                    BasisState(boson=tuple(sorted(state.boson + ((op.flavor, l),)))), coeff
-                )
-            elif op.n == 0:
-                out.add_term(state, coeff * module.sector[op.flavor])
-            else:
-                mult = sum(1 for p in state.boson if p == (op.flavor, op.n))
-                if mult:
-                    reduced = list(state.boson)
-                    reduced.remove((op.flavor, op.n))
-                    out.add_term(
-                        BasisState(boson=tuple(reduced)), coeff * mult * op.n
-                    )
-        return out
-
-    for state, coeff in x.terms.items():
-        nb = len(state.ferm_b)
-        if spec.kind == "real_fermion":
-            if op.n <= -1:
-                j = -op.n
-                res = _fermion_insert(state.ferm_b, j)
-                if res is None:
-                    continue
-                sgn, levels = res
-                new = BasisState(ferm_b=levels)
-                if state_level(spec, new) > cap:
-                    continue
-                out.add_term(new, coeff * (-1.0) ** sgn)
-            else:
-                res = _fermion_remove(state.ferm_b, op.n + 1)
-                if res is None:
-                    continue
-                sgn, levels = res
-                out.add_term(BasisState(ferm_b=levels), coeff * (-1.0) ** sgn)
-            continue
-
-        # complex fermion
-        if op.species == "b":
-            if op.n <= -1:
-                res = _fermion_insert(state.ferm_b, -op.n)
-                if res is None:
-                    continue
-                sgn, levels = res
-                new = BasisState(ferm_b=levels, ferm_c=state.ferm_c)
-                if state_level(spec, new) > cap:
-                    continue
-                out.add_term(new, coeff * (-1.0) ** sgn)
-            else:
-                res = _fermion_remove(state.ferm_c, op.n + 1)
-                if res is None:
-                    continue
-                sgn, levels = res
-                out.add_term(
-                    BasisState(ferm_b=state.ferm_b, ferm_c=levels),
-                    coeff * (-1.0) ** (nb + sgn),
-                )
-        else:
-            if op.n <= -1:
-                res = _fermion_insert(state.ferm_c, -op.n)
-                if res is None:
-                    continue
-                sgn, levels = res
-                new = BasisState(ferm_b=state.ferm_b, ferm_c=levels)
-                if state_level(spec, new) > cap:
-                    continue
-                out.add_term(new, coeff * (-1.0) ** (nb + sgn))
-            else:
-                res = _fermion_remove(state.ferm_b, op.n + 1)
-                if res is None:
-                    continue
-                sgn, levels = res
-                out.add_term(
-                    BasisState(ferm_b=levels, ferm_c=state.ferm_c),
-                    coeff * (-1.0) ** sgn,
-                )
-    return out
-
-
 def mode_image(
     op: ModeOp, module: ModuleSpace, idx: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -587,7 +488,7 @@ def mode_image(
     State idx[i] maps to coeff[i] times state target[i].  Where the image
     vanishes or leaves the level cap, coeff is 0 and target is -1.  The
     coefficient is the fermion sign, the boson multiplicity times the mode
-    label, or the sector charge for a boson zero mode, as in apply_mode.
+    label, or the sector charge for a boson zero mode.
     """
     spec = module.spec
     _check_mode(op, spec)
@@ -738,25 +639,85 @@ def zero_mode_terms(module: ModuleSpace, v: AlgebraElement, lam: float = 0) -> M
     return terms
 
 
+def _indices(module: ModuleSpace, x: AlgebraElement) -> np.ndarray:
+    """Module indices of the states of x, in its term order."""
+    index = module.index
+    try:
+        return np.array([index[s] for s in x.terms], dtype=np.intp)
+    except KeyError as exc:
+        raise DomainViolation(
+            f"state {exc.args[0]} is not a basis state of the level-{module.cap:g} module"
+        ) from None
+
+
+Image = Callable[[ModeOp, np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+
+def _apply(module: ModuleSpace, terms: Monomials, x: AlgebraElement, image: Image) -> AlgebraElement:
+    """The sum of coeff * modes . x, each monomial chained over the module
+    indices of x with image(op, idx) -> (target, coeff) of `mode_image`.
+
+    A single mode maps distinct states to distinct states, so a chain
+    never merges terms.  The coefficients are multiplied one mode at a
+    time and the images added in the order of the monomials, then of the
+    terms of x, so that equal inputs give bit-identical elements."""
+    idx = _indices(module, x)
+    start = list(x.terms.values())
+    acc: dict[int, complex] = {}
+    for coeff, modes in terms:
+        cur, vals = idx, start
+        for op in modes:
+            target, c = image(op, cur)
+            hit = c.nonzero()[0]
+            cur = target[hit]
+            vals = [vals[i] * f for i, f in zip(hit.tolist(), c[hit].tolist())]
+            if not vals:
+                break
+        for i, v in zip(cur.tolist(), vals):
+            total = acc.get(i, 0.0) + coeff * v
+            if total == 0.0:
+                acc.pop(i, None)
+            else:
+                acc[i] = total
+    return AlgebraElement({module.states[i]: c for i, c in acc.items()})
+
+
 def apply_terms(module: ModuleSpace, terms: Monomials, x: AlgebraElement) -> AlgebraElement:
     """The sum of coeff * modes . x over mode monomials (coeff, modes),
-    applied with apply_mode."""
-    total = AlgebraElement.zero()
-    for coeff, modes in terms:
-        y = x
-        for op in modes:
-            y = apply_mode(op, y, module)
-        total = total.plus(y.scaled(coeff))
-    return total
+    modes[0] acting first, with `mode_image` on the states of x only.
+    A state of x outside the module raises DomainViolation."""
+    return _apply(module, terms, x, lambda op, idx: mode_image(op, module, idx))
+
+
+def apply_mode(op: ModeOp, x: AlgebraElement, module: ModuleSpace) -> AlgebraElement:
+    """Left action of a single mode on an element; image states above
+    module.cap are dropped."""
+    return apply_terms(module, [(1.0, (op,))], x)
 
 
 def zero_mode_operator(
     module: ModuleSpace, v: AlgebraElement, lam: float = 0
 ) -> Callable[[AlgebraElement], AlgebraElement]:
-    """o_lam(v) as an operator on module elements: the monomials of
-    zero_mode_terms applied with apply_mode."""
-    terms = zero_mode_terms(module, v, lam)
-    return lambda x: apply_terms(module, terms, x)
+    """o_lam(v) as an operator on module elements.
+
+    The monomials of zero_mode_terms and the `mode_image` of each of their
+    modes on every basis state are built once per (module, v, lam) and
+    kept on module.arrays; the operator chains those tables over the
+    states of its argument, as apply_terms chains `mode_image`."""
+    ops = module.arrays.operators
+    key = (v.key(), lam)
+    if key not in ops:
+        terms = zero_mode_terms(module, v, lam)
+        every = np.arange(module.dim)
+        table = {op: mode_image(op, module, every) for _, modes in terms for op in modes}
+        ops[key] = terms, table
+    terms, table = ops[key]
+
+    def image(op: ModeOp, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        target, coeff = table[op]
+        return target[idx], coeff[idx]
+
+    return lambda x: _apply(module, terms, x, image)
 
 
 def current_zero_mode_scalar(module: ModuleSpace) -> float | None:

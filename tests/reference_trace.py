@@ -1,12 +1,18 @@
-"""Per-state loop forms of the direct traces, kept as the references that
-the array engine in jrl.voa.trace is tested against.
+"""Per-state references for the array Fock engine in jrl.voa.
 
-Every basis state is pushed through the inner insertions with
-`apply_field` on the dict representation, and the outermost operator is
-contracted against the diagonal one state at a time.  The fields here are
-the per-species mode loops over vacuum and single-oscillator states, kept
-apart from the engine's description of fields through `zero_mode_terms`,
-so that the two can be checked against each other.
+`apply_mode` acts with one mode on the dict representation, a state at a
+time, with its own fermion sign and boson multiplicity rules; it is the
+reference that `mode_image` and the array `apply_terms` are tested
+against.  `zero_mode_operator` applies the monomials of `zero_mode_terms`
+with it.
+
+The per-state loop forms of the direct traces push every basis state
+through the inner insertions with `apply_field` on the dict
+representation, and contract the outermost operator against the diagonal
+one state at a time.  The fields here are the per-species mode loops over
+vacuum and single-oscillator states, kept apart from the engine's
+description of fields through `zero_mode_terms`, so that the two can be
+checked against each other.
 """
 
 import math
@@ -16,12 +22,141 @@ from jrl.specfun.points import phase
 from jrl.voa.algebra import (
     VACUUM,
     AlgebraElement,
+    BasisState,
     ModeOp,
+    ModuleSpace,
+    _check_mode,
     _general_binom,
-    apply_mode,
     state_level,
-    zero_mode_operator,
+    zero_mode_terms,
 )
+
+
+def _fermion_insert(levels: tuple[int, ...], j: int) -> tuple[int, tuple[int, ...]] | None:
+    """Insert creator label j into an ascending tuple; None if already present.
+    Returns (sign exponent, new tuple)."""
+    if j in levels:
+        return None
+    pos = sum(1 for x in levels if x < j)
+    return pos, tuple(sorted(levels + (j,)))
+
+
+def _fermion_remove(levels: tuple[int, ...], j: int) -> tuple[int, tuple[int, ...]] | None:
+    """Remove creator label j; None if absent.  Returns (sign exponent, new tuple)."""
+    if j not in levels:
+        return None
+    pos = sum(1 for x in levels if x < j)
+    return pos, tuple(x for x in levels if x != j)
+
+
+def apply_mode(op: ModeOp, x: AlgebraElement, module: ModuleSpace) -> AlgebraElement:
+    """Left action of a single mode on an element; image states above
+    module.cap are dropped."""
+    spec = module.spec
+    out = AlgebraElement()
+    cap = module.cap
+
+    _check_mode(op, spec)
+    if op.species == "a":
+        for state, coeff in x.terms.items():
+            if op.n < 0:
+                l = -op.n
+                if state_level(spec, state) + l > cap:
+                    continue
+                out.add_term(
+                    BasisState(boson=tuple(sorted(state.boson + ((op.flavor, l),)))), coeff
+                )
+            elif op.n == 0:
+                out.add_term(state, coeff * module.sector[op.flavor])
+            else:
+                mult = sum(1 for p in state.boson if p == (op.flavor, op.n))
+                if mult:
+                    reduced = list(state.boson)
+                    reduced.remove((op.flavor, op.n))
+                    out.add_term(
+                        BasisState(boson=tuple(reduced)), coeff * mult * op.n
+                    )
+        return out
+
+    for state, coeff in x.terms.items():
+        nb = len(state.ferm_b)
+        if spec.kind == "real_fermion":
+            if op.n <= -1:
+                j = -op.n
+                res = _fermion_insert(state.ferm_b, j)
+                if res is None:
+                    continue
+                sgn, levels = res
+                new = BasisState(ferm_b=levels)
+                if state_level(spec, new) > cap:
+                    continue
+                out.add_term(new, coeff * (-1.0) ** sgn)
+            else:
+                res = _fermion_remove(state.ferm_b, op.n + 1)
+                if res is None:
+                    continue
+                sgn, levels = res
+                out.add_term(BasisState(ferm_b=levels), coeff * (-1.0) ** sgn)
+            continue
+
+        # complex fermion
+        if op.species == "b":
+            if op.n <= -1:
+                res = _fermion_insert(state.ferm_b, -op.n)
+                if res is None:
+                    continue
+                sgn, levels = res
+                new = BasisState(ferm_b=levels, ferm_c=state.ferm_c)
+                if state_level(spec, new) > cap:
+                    continue
+                out.add_term(new, coeff * (-1.0) ** sgn)
+            else:
+                res = _fermion_remove(state.ferm_c, op.n + 1)
+                if res is None:
+                    continue
+                sgn, levels = res
+                out.add_term(
+                    BasisState(ferm_b=state.ferm_b, ferm_c=levels),
+                    coeff * (-1.0) ** (nb + sgn),
+                )
+        else:
+            if op.n <= -1:
+                res = _fermion_insert(state.ferm_c, -op.n)
+                if res is None:
+                    continue
+                sgn, levels = res
+                new = BasisState(ferm_b=state.ferm_b, ferm_c=levels)
+                if state_level(spec, new) > cap:
+                    continue
+                out.add_term(new, coeff * (-1.0) ** (nb + sgn))
+            else:
+                res = _fermion_remove(state.ferm_b, op.n + 1)
+                if res is None:
+                    continue
+                sgn, levels = res
+                out.add_term(
+                    BasisState(ferm_b=levels, ferm_c=state.ferm_c),
+                    coeff * (-1.0) ** sgn,
+                )
+    return out
+
+
+def apply_terms(module, terms, x):
+    """The sum of coeff * modes . x over mode monomials, modes[0] acting
+    first, applied with apply_mode."""
+    total = AlgebraElement.zero()
+    for coeff, modes in terms:
+        y = x
+        for op in modes:
+            y = apply_mode(op, y, module)
+        total = total.plus(y.scaled(coeff))
+    return total
+
+
+def zero_mode_operator(module, v, lam=0):
+    """o_lam(v): the monomials of zero_mode_terms applied with apply_mode."""
+    terms = zero_mode_terms(module, v, lam)
+    return lambda x: apply_terms(module, terms, x)
 
 
 def _single_components(spec, v):

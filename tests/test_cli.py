@@ -240,6 +240,26 @@ def test_reduce_oracle_takes_the_bilinear_field(tmp_path):
     assert match["pass"] and match["residual"] <= match["tolerance"]
 
 
+def test_reduce_oracle_past_level_six(tmp_path):
+    # b(-7)vac and c(-7)vac: J[0] maps them to level-7 states, which the
+    # images keep
+    doc = {
+        "schema": 1,
+        "algebra": {"kind": "complex_fermion", "grading": "charge_shifted"},
+        "cap": 12,
+        "params": {"z": [0.23, -0.11], "tau": [0.0, 0.8], "supertrace": True},
+        "insertions": [
+            {"state": {"ferm_b": [7]}, "z": [0.0, 0.1]},
+            {"state": {"ferm_c": [7]}, "z": [0.0, 0.2]},
+            {"state": "J", "z": [0.0, 0.31]},
+        ],
+    }
+    r = run_cli("reduce", "--oracle", request=doc, tmp_path=tmp_path)
+    assert r.returncode == 0, r.stdout + r.stderr
+    match = next(c for c in json.loads(r.stdout)["checks"] if c["name"] == "oracle_match")
+    assert match["pass"] and match["residual"] <= match["tolerance"]
+
+
 def test_reduce_accepts_zeta_alias(tmp_path):
     import cmath
     import math
@@ -436,3 +456,18 @@ def test_verify_nq_moves_a_reduction_residual(capsys, monkeypatch):
         for doc in reports
     ]
     assert residuals[0] < 1e-12 < 1e-7 < residuals[1] < 1e-5
+
+
+def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
+    from jrl import cli
+
+    def boom(args):
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr(cli, "cmd_eval", boom)
+    assert cli.main(["eval", "--fn", "B", "--k", "2"]) == 3
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert doc["command"] == "eval"
+    assert doc["error"] == {"type": "internal_error", "message": "RuntimeError: bug"}
+    assert "Traceback" not in captured.err

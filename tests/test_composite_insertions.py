@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from reference_trace import apply_mode
 from jrl.errors import JrlError
 from jrl.reduction import (
     JacobiParams,
@@ -31,7 +32,6 @@ from jrl.voa import (
     AlgebraSpec,
     BasisState,
     ModeOp,
-    apply_mode,
     current_state,
     enumerate_basis,
     kappa,

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from reference_trace import npoint_trace_loop, zero_mode_trace_loop
+import reference_trace
+from reference_trace import apply_mode, npoint_trace_loop, zero_mode_trace_loop
 from jrl.errors import DomainViolation, UnsupportedInsertion
 from jrl.specfun import ModularPoint
 from jrl.voa import (
@@ -15,15 +18,17 @@ from jrl.voa import (
     BasisState,
     ModeOp,
     TraceWeights,
-    apply_mode,
+    apply_field,
     current_state,
     enumerate_basis,
     graded_trace,
     npoint_trace,
     oscillator_state,
     partition_function,
+    zero_mode_operator,
 )
-from jrl.voa.algebra import mode_image
+from jrl.voa import algebra
+from jrl.voa.algebra import apply_terms, mode_image
 
 TAU = ModularPoint(0.1 + 0.55j)
 Z0 = 0.23 - 0.11j
@@ -204,3 +209,42 @@ def test_fermion_signs_across_key_groups():
                 img = apply_mode(op, AlgebraElement.from_state(module.states[i]), module)
                 got = {module.states[target[k]]: coeff[k]} if coeff[k] else {}
                 assert got == img.terms
+
+
+# (spec, sector, cap, species) of the small modules of the differential test
+SMALL = {
+    "h1": (HEIS, (0.3,), 5.0, "a"),
+    "h2": (HEIS2, (0.7, -0.2), 4.0, "a"),
+    "cf": (CF_SHIFTED, (), 4.0, "bc"),
+    "cfn": (CF_NATURAL, (), 3.5, "bc"),
+    "rf": (RF, (), 4.5, "b"),
+}
+COMPLEX = st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), case=st.sampled_from(sorted(SMALL)))
+def test_apply_terms_matches_the_dict_reference(data, case):
+    spec, sector, cap, species = SMALL[case]
+    module = enumerate_basis(spec, sector, cap)
+    states = data.draw(st.lists(st.sampled_from(module.states), min_size=1, max_size=6, unique=True))
+    x = AlgebraElement({s: data.draw(COMPLEX.filter(bool)) for s in states})
+    op = st.builds(
+        ModeOp, st.sampled_from(species), st.integers(-6, 6), st.integers(0, spec.rank - 1)
+    )
+    terms = data.draw(st.lists(st.tuples(COMPLEX, st.lists(op, max_size=3).map(tuple)), max_size=8))
+    got = apply_terms(module, terms, x)
+    want = reference_trace.apply_terms(module, terms, x)
+    assert got.plus(want.scaled(-1.0)).norm1() <= 1e-13 * max(1.0, want.norm1())
+
+
+def test_state_outside_the_module_is_a_domain_violation():
+    module = enumerate_basis(HEIS, (0.6,), 3.0)
+    x = AlgebraElement({VACUUM: 1.0, BasisState(boson=((0, 4),)): 2.0})
+    for act in (
+        lambda: algebra.apply_mode(ModeOp("a", 1), x, module),
+        lambda: zero_mode_operator(module, J)(x),
+        lambda: apply_field(module, J, 0.2j, x),
+    ):
+        with pytest.raises(DomainViolation, match=r"boson=\(\(0, 4\),\)"):
+            act()

@@ -22,7 +22,7 @@ from jrl.specfun import (
     weier_p,
     weier_p_deformed,
 )
-from jrl.voa import AlgebraSpec, current_state, oscillator_state
+from jrl.voa import AlgebraElement, AlgebraSpec, BasisState, current_state, oscillator_state
 from jrl.reduction import (
     JacobiParams,
     NPointRequest,
@@ -35,6 +35,7 @@ from jrl.reduction import (
     reduce_step,
     specfun_kernel,
 )
+from jrl.reduction.steps import bracket_images
 
 TAU = ModularPoint(0.5j)
 Z0 = 0.23 - 0.11j
@@ -339,3 +340,23 @@ def test_specfun_kernel_dispatch():
     ) == eisenstein_twisted(2, 1, TAU, tr)
     with pytest.raises(DomainViolation):
         specfun_kernel("weier_q", {"tau": 0.5j}, tr)
+
+
+def _image_at_zero(spec, v, wt, x):
+    """v[0].x as bracket_images gives it to the reduction."""
+    return next(img for _, m, img, _ in bracket_images(spec, v, wt, 0, (x,)) if m == 0)
+
+
+def test_bracket_images_keep_their_terms_above_level_six():
+    # the image module is sized from the target and v: J[0] b(-7)vac and
+    # (a0(-1)a1(-1)vac)[0] a0(-6)vac reach level 7
+    img = _image_at_zero(CFERM, current_state(CFERM), 1.0, oscillator_state("b", 7))
+    b7 = BasisState(ferm_b=(7,))
+    assert abs(img.terms.get(b7, 0.0) - 1.0) < 1e-12
+    assert img.plus(AlgebraElement.from_state(b7, -1.0)).norm1() < 1e-12
+
+    h2 = AlgebraSpec(kind="heisenberg", rank=2)
+    pair = AlgebraElement.from_state(BasisState(boson=((0, 1), (1, 1))))
+    img = _image_at_zero(h2, pair, 2.0, oscillator_state("a", 6, 0))
+    assert abs(img.terms.get(BasisState(boson=((1, 7),)), 0.0) - 6.0) < 1e-12
+    assert abs(img.terms.get(BasisState(boson=((1, 6),)), 0.0) - 6.0) < 1e-12

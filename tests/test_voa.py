@@ -3,6 +3,7 @@ import math
 import pytest
 
 import oracles
+from reference_trace import apply_mode
 from jrl.errors import DomainViolation, UnsupportedInsertion
 from jrl.specfun import ModularPoint, Truncation, phase
 from jrl.voa import (
@@ -13,7 +14,6 @@ from jrl.voa import (
     ModeOp,
     TraceWeights,
     apply_field,
-    apply_mode,
     current_state,
     current_zero_mode_scalar,
     enumerate_basis,
