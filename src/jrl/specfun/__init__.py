@@ -21,7 +21,7 @@ from .points import (
     default_truncation,
     phase,
 )
-from .series import QLaurentSeries, bernoulli, stable_sum
+from .series import bernoulli, stable_sum
 from .slash import jacobi_slash
 from .weierstrass import weier_p, weier_p_deformed, weier_p_tilde, weier_p_twisted
 
@@ -59,7 +59,6 @@ __all__ = [
     "AnnulusPoint",
     "LaurentFit",
     "ModularPoint",
-    "QLaurentSeries",
     "SL2Element",
     "Truncation",
     "TwistPair",

@@ -17,25 +17,24 @@ any fixed target.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 from ..errors import UnsupportedInsertion
-from ..specfun.points import Truncation
-from ..specfun.series import QLaurentSeries
+from ..specfun.series import unit_power
 from .algebra import AlgebraElement, AlgebraSpec, ModuleSpace, state_level, zero_mode_operator
 
 
 @lru_cache(maxsize=None)
 def _kappa_cached(h2: int, m: int, j: int) -> float:
-    # h passed as 2h to keep the cache key exact for half-integer weights
-    h = h2 / 2.0
+    # h passed as 2h to keep the cache key exact for half-integer weights;
+    # the coefficient is an exact rational, rounded once
     order = j - m
     if order < 0:
         return 0.0
-    tr = Truncation(n_q=max(order, 1) + 1, n_mode=1, tol=1e-15)
-    s = QLaurentSeries.em1_over_z(tr)
-    series = s.power(-(j + 1)).mul(QLaurentSeries.exp_series(h, tr))
-    return complex(series.coefficient(order)).real
+    s = unit_power([Fraction(1, math.factorial(k + 1)) for k in range(order + 1)], -j - 1)
+    h = Fraction(h2, 2)
+    return float(sum(s[n] * h ** (order - n) / math.factorial(order - n) for n in range(order + 1)))
 
 
 def kappa(h: float, m: int, j: int) -> float:

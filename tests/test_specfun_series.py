@@ -1,21 +1,19 @@
 import math
 import cmath
+from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jrl.specfun import (
-    QLaurentSeries,
-    Truncation,
     bernoulli,
     default_truncation,
     phase,
     stable_sum,
 )
-
-TR = Truncation(n_q=12, n_mode=48, tol=1e-12)
+from jrl.specfun.series import unit_power
+from jrl.voa import kappa
 
 
 def test_phase_values():
@@ -50,92 +48,38 @@ def test_stable_sum_cancellation():
     assert abs(stable_sum(terms) - 4.0) < 1e-12
 
 
-def test_series_monomial_and_eval():
-    s = QLaurentSeries.monomial(-1, TR).add(QLaurentSeries.monomial(2, TR, 3.0))
-    x = 0.3 + 0.1j
-    assert abs(s.eval(x) - (1.0 / x + 3.0 * x**2)) < 1e-14
-    assert abs(s.coefficient(-1) - 1.0) < 1e-15
-    assert abs(s.coefficient(2) - 3.0) < 1e-15
-    assert abs(s.coefficient(0)) < 1e-15
-
-
-def test_series_mul_truncates():
-    s = QLaurentSeries.monomial(TR.n_q, TR)
-    prod = s.mul(s)
-    # exponent 2*n_q exceeds the window, product must be empty
-    assert prod.is_zero()
+def test_series_em1_over_z():
+    # (e^z - 1)/z = sum z^k/(k+1)!, as its first power
+    a = [Fraction(1, math.factorial(k + 1)) for k in range(8)]
+    assert unit_power(a, 1) == a
+    assert unit_power(a, 0) == [1] + [0] * 7
 
 
 def test_series_invert_unit():
-    one = QLaurentSeries.constant(1.0, TR)
-    s = one.add(QLaurentSeries.monomial(1, TR, -0.7))
-    inv = s.invert_unit()
-    check = s.mul(inv)
-    assert abs(check.coefficient(0) - 1.0) < 1e-13
-    for k in range(1, TR.n_q):
-        assert abs(check.coefficient(k)) < 1e-13
-
-
-def test_series_em1_over_z():
-    # (e^z - 1)/z = sum z^k/(k+1)!
-    s = QLaurentSeries.em1_over_z(TR)
-    for k in range(6):
-        assert abs(s.coefficient(k) - 1.0 / math.factorial(k + 1)) < 1e-15
+    # 1/(1 - 7z/10) is geometric; z/(e^z - 1) = sum B_k z^k / k!
+    assert unit_power([Fraction(1), Fraction(-7, 10)], -1) == [1, Fraction(7, 10)]
+    assert unit_power([Fraction(1), Fraction(-7, 10), 0, 0], -1) == [Fraction(7, 10) ** k for k in range(4)]
+    a = [Fraction(1, math.factorial(k + 1)) for k in range(14)]
+    assert unit_power(a, -1) == [bernoulli(k) / math.factorial(k) for k in range(14)]
 
 
 def test_series_exp():
-    h = 0.37
-    s = QLaurentSeries.exp_series(h, TR)
-    for k in range(6):
-        assert abs(s.coefficient(k) - h**k / math.factorial(k)) < 1e-13
-
-
-def test_series_substitute():
-    # f(x) = 1 + x, g(x) = 2x + x^2, f(g) = 1 + 2x + x^2
-    f = QLaurentSeries.constant(1.0, TR).add(QLaurentSeries.monomial(1, TR))
-    g = QLaurentSeries.monomial(1, TR, 2.0).add(QLaurentSeries.monomial(2, TR))
-    fg = f.substitute(g)
-    assert abs(fg.coefficient(0) - 1.0) < 1e-15
-    assert abs(fg.coefficient(1) - 2.0) < 1e-15
-    assert abs(fg.coefficient(2) - 1.0) < 1e-15
-
-
-coeff = st.complex_numbers(
-    min_magnitude=0.0, max_magnitude=4.0, allow_nan=False, allow_infinity=False
-)
-
-
-@given(st.lists(coeff, min_size=1, max_size=6), st.integers(-3, 3))
-@settings(max_examples=60, deadline=None)
-def test_series_eval_matches_horner(coeffs, kmin):
-    s = QLaurentSeries(kmin, tuple(coeffs), TR)
-    x = 0.4 + 0.2j
-    direct = sum(c * x ** (kmin + i) for i, c in enumerate(coeffs))
-    assert abs(s.eval(x) - direct) < 1e-11 * max(1.0, abs(direct))
+    # kappa(h, m, -1) = [z^{-1-m}] e^{zh}: the power of (e^z - 1)/z is 0
+    for h in (0.0, 0.5, 1.0, 3.5):
+        for k in range(8):
+            assert kappa(h, -1 - k, -1) == float(Fraction(h) ** k / math.factorial(k))
 
 
 @given(
-    st.lists(coeff, min_size=1, max_size=5),
-    st.lists(coeff, min_size=1, max_size=5),
+    st.lists(st.fractions(-3, 3, max_denominator=7), min_size=1, max_size=6),
+    st.integers(-4, 4),
+    st.integers(-4, 4),
 )
 @settings(max_examples=60, deadline=None)
-def test_series_mul_commutes(a, b):
-    sa = QLaurentSeries(0, tuple(a), TR)
-    sb = QLaurentSeries(0, tuple(b), TR)
-    ab = sa.mul(sb)
-    ba = sb.mul(sa)
-    for k in range(len(a) + len(b)):
-        assert abs(ab.coefficient(k) - ba.coefficient(k)) < 1e-11
-
-
-@given(st.lists(coeff, min_size=1, max_size=5))
-@settings(max_examples=60, deadline=None)
-def test_series_add_sub_roundtrip(a):
-    sa = QLaurentSeries(-1, tuple(a), TR)
-    zero = sa.sub(sa)
-    assert zero.is_zero() or all(
-        abs(zero.coefficient(k)) < 1e-12 for k in range(-1, len(a))
-    )
+def test_unit_powers_add_exponents(tail, p, q):
+    a = [Fraction(1)] + tail
+    fp, fq, fpq = unit_power(a, p), unit_power(a, q), unit_power(a, p + q)
+    assert [sum(fp[k] * fq[n - k] for k in range(n + 1)) for n in range(len(a))] == fpq
 
 
 def test_default_truncation_env(monkeypatch):

@@ -150,11 +150,12 @@ def test_complex_fermion_flux_product():
 
 
 def test_kappa_reference_values():
-    assert abs(kappa(1.0, -1, 1) + 1.0 / 12.0) < 1e-14
-    assert abs(kappa(1.0, -1, 0) - 0.5) < 1e-14
-    assert abs(kappa(1.0, 0, 0) - 1.0) < 1e-14
-    assert abs(kappa(1.0, 0, 1)) < 1e-14
-    assert abs(kappa(1.0, 1, 1) - 1.0) < 1e-14
+    # exact rationals, rounded once
+    assert kappa(1.0, -1, 1) == -1.0 / 12.0
+    assert kappa(1.0, -1, 0) == 0.5
+    assert kappa(1.0, 0, 0) == 1.0
+    assert kappa(1.0, 0, 1) == 0.0
+    assert kappa(1.0, 1, 1) == 1.0
 
 
 def test_kappa_rejects_bad_weight():
