@@ -1,7 +1,6 @@
 """Special functions: Eisenstein-type series, elliptic kernels, Laurent
-fits, Bernoulli numbers, truncated Laurent series, the Jacobi slash
-action, and `specfun_kernel`, the one dispatch from a kernel name to its
-function."""
+fits, Bernoulli numbers, the Jacobi slash action, and `specfun_kernel`,
+the one dispatch from a kernel name to its function."""
 
 from ..errors import DomainViolation
 from .eisenstein import (

@@ -231,7 +231,7 @@ class ModuleSpace:
 
     @cached_property
     def arrays(self) -> "FockArrays":
-        """Array form of the basis, built on the first array trace."""
+        """Array form of the basis, built on first use."""
         return FockArrays(self)
 
     @cached_property
