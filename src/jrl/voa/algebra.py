@@ -653,7 +653,9 @@ def _indices(module: ModuleSpace, x: AlgebraElement) -> np.ndarray:
 Image = Callable[[ModeOp, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
-def _apply(module: ModuleSpace, terms: Monomials, x: AlgebraElement, image: Image) -> AlgebraElement:
+def _apply(
+    module: ModuleSpace, terms: Monomials, x: AlgebraElement, image: Image
+) -> AlgebraElement:
     """The sum of coeff * modes . x, each monomial chained over the module
     indices of x with image(op, idx) -> (target, coeff) of `mode_image`.
 

@@ -227,7 +227,9 @@ COMPLEX = st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=
 def test_apply_terms_matches_the_dict_reference(data, case):
     spec, sector, cap, species = SMALL[case]
     module = enumerate_basis(spec, sector, cap)
-    states = data.draw(st.lists(st.sampled_from(module.states), min_size=1, max_size=6, unique=True))
+    states = data.draw(
+        st.lists(st.sampled_from(module.states), min_size=1, max_size=6, unique=True)
+    )
     x = AlgebraElement({s: data.draw(COMPLEX.filter(bool)) for s in states})
     op = st.builds(
         ModeOp, st.sampled_from(species), st.integers(-6, 6), st.integers(0, spec.rank - 1)

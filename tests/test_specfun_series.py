@@ -58,7 +58,8 @@ def test_series_em1_over_z():
 def test_series_invert_unit():
     # 1/(1 - 7z/10) is geometric; z/(e^z - 1) = sum B_k z^k / k!
     assert unit_power([Fraction(1), Fraction(-7, 10)], -1) == [1, Fraction(7, 10)]
-    assert unit_power([Fraction(1), Fraction(-7, 10), 0, 0], -1) == [Fraction(7, 10) ** k for k in range(4)]
+    geometric = [Fraction(7, 10) ** k for k in range(4)]
+    assert unit_power([Fraction(1), Fraction(-7, 10), 0, 0], -1) == geometric
     a = [Fraction(1, math.factorial(k + 1)) for k in range(14)]
     assert unit_power(a, -1) == [bernoulli(k) / math.factorial(k) for k in range(14)]
 
