@@ -269,7 +269,6 @@ class FockArrays:
     g.  Most modules need one group, whose code is the key.  Every key
     stays below 2^62, and the final key is injective on the basis.
     `level`, `charge` and `parity` are per-state arrays in module order.
-    `operators` keeps the zero-mode tables of `zero_mode_operator`.
     """
 
     def __init__(self, module: ModuleSpace):
@@ -290,7 +289,6 @@ class FockArrays:
                     slot_level.append(j - 1.0 + w0)
                     j += 1
         self.slot_index = {slot: s for s, slot in enumerate(slots)}
-        self.operators: dict = {}
         self.slot_level = slot_level
         if spec.kind == "heisenberg":
             self.slot_radix = [int(cap // l) + 1 for l in slot_level]
@@ -650,14 +648,11 @@ def _indices(module: ModuleSpace, x: AlgebraElement) -> np.ndarray:
         ) from None
 
 
-Image = Callable[[ModeOp, np.ndarray], tuple[np.ndarray, np.ndarray]]
-
-
-def _apply(
-    module: ModuleSpace, terms: Monomials, x: AlgebraElement, image: Image
-) -> AlgebraElement:
-    """The sum of coeff * modes . x, each monomial chained over the module
-    indices of x with image(op, idx) -> (target, coeff) of `mode_image`.
+def apply_terms(module: ModuleSpace, terms: Monomials, x: AlgebraElement) -> AlgebraElement:
+    """The sum of coeff * modes . x over mode monomials (coeff, modes),
+    modes[0] acting first, each monomial chained with `mode_image` over
+    the module indices of x.  A state of x outside the module raises
+    DomainViolation.
 
     A single mode maps distinct states to distinct states, so a chain
     never merges terms.  The coefficients are multiplied one mode at a
@@ -669,7 +664,7 @@ def _apply(
     for coeff, modes in terms:
         cur, vals = idx, start
         for op in modes:
-            target, c = image(op, cur)
+            target, c = mode_image(op, module, cur)
             hit = c.nonzero()[0]
             cur = target[hit]
             vals = [vals[i] * f for i, f in zip(hit.tolist(), c[hit].tolist())]
@@ -684,13 +679,6 @@ def _apply(
     return AlgebraElement({module.states[i]: c for i, c in acc.items()})
 
 
-def apply_terms(module: ModuleSpace, terms: Monomials, x: AlgebraElement) -> AlgebraElement:
-    """The sum of coeff * modes . x over mode monomials (coeff, modes),
-    modes[0] acting first, with `mode_image` on the states of x only.
-    A state of x outside the module raises DomainViolation."""
-    return _apply(module, terms, x, lambda op, idx: mode_image(op, module, idx))
-
-
 def apply_mode(op: ModeOp, x: AlgebraElement, module: ModuleSpace) -> AlgebraElement:
     """Left action of a single mode on an element; image states above
     module.cap are dropped."""
@@ -700,26 +688,10 @@ def apply_mode(op: ModeOp, x: AlgebraElement, module: ModuleSpace) -> AlgebraEle
 def zero_mode_operator(
     module: ModuleSpace, v: AlgebraElement, lam: float = 0
 ) -> Callable[[AlgebraElement], AlgebraElement]:
-    """o_lam(v) as an operator on module elements.
-
-    The monomials of zero_mode_terms and the `mode_image` of each of their
-    modes on every basis state are built once per (module, v, lam) and
-    kept on module.arrays; the operator chains those tables over the
-    states of its argument, as apply_terms chains `mode_image`."""
-    ops = module.arrays.operators
-    key = (v.key(), lam)
-    if key not in ops:
-        terms = zero_mode_terms(module, v, lam)
-        every = np.arange(module.dim)
-        table = {op: mode_image(op, module, every) for _, modes in terms for op in modes}
-        ops[key] = terms, table
-    terms, table = ops[key]
-
-    def image(op: ModeOp, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        target, coeff = table[op]
-        return target[idx], coeff[idx]
-
-    return lambda x: _apply(module, terms, x, image)
+    """o_lam(v) as an operator on module elements: the monomials of
+    zero_mode_terms, applied with apply_terms."""
+    terms = zero_mode_terms(module, v, lam)
+    return lambda x: apply_terms(module, terms, x)
 
 
 def current_zero_mode_scalar(module: ModuleSpace) -> float | None:
