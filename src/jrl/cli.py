@@ -98,10 +98,6 @@ def _floats(value) -> tuple[float, ...]:
     return tuple(float(x) for x in value)
 
 
-def _shift_pair(value) -> tuple[int, int] | None:
-    return None if value is None else (_integer(value[0]), _integer(value[1]))
-
-
 def _truncation_from_json(t, tr: Truncation, where: str) -> Truncation:
     """A truncation document over the defaults tr."""
     _check_fields(t, {"n_q", "n_mode", "tol"}, set(), where)
@@ -191,7 +187,7 @@ def request_from_json(doc: dict) -> NPointRequest:
     par = doc["params"]
     _check_fields(
         par,
-        {"z", "zeta", "tau", "supertrace", "include_c_shift", "charge_weight_shift", "shift"},
+        {"z", "zeta", "tau", "supertrace", "include_c_shift", "charge_weight_shift"},
         {"tau"},
         "request.params",
     )
@@ -210,7 +206,6 @@ def request_from_json(doc: dict) -> NPointRequest:
         supertrace=bool(par.get("supertrace", False)),
         include_c_shift=bool(par.get("include_c_shift", False)),
         charge_weight_shift=_get(par, "charge_weight_shift", float, "request.params", 0.0),
-        shift=_get(par, "shift", _shift_pair, "request.params"),
     )
 
     insertions = []
@@ -280,8 +275,6 @@ def request_to_json(req: NPointRequest) -> dict:
     }
     if req.spec.current is not None:
         out["algebra"]["current"] = list(req.spec.current)
-    if req.params.shift is not None:
-        out["params"]["shift"] = list(req.params.shift)
     return out
 
 

@@ -22,29 +22,28 @@ from .types import (
 
 def identity_v0_sum(req: NPointRequest, v: AlgebraElement) -> float:
     """Residual of sum_k (+-) Z((v[0].)_k insertions) = 0 for integer weight v."""
-    spec = req.spec
-    wt, _, par = element_weight_charge(spec, v)
+    wt, _, par = element_weight_charge(req.spec, v)
     if abs(wt - round(wt.real)) > 1e-9 or abs(wt.imag) > 1e-9:
         raise NonIntegerWeight(f"v[0]-sum needs integer weight, got {wt}")
-    vs = tuple(u for u, _ in req.insertions)
-    total = 0.0 + 0.0j
-    scale = 0.0
-    for k, _, img, sign in bracket_images(spec, v, wt, par, vs, last=0):
-        term = sign * npoint_oracle(with_slot(req, k, img))
-        total += term
-        scale += abs(term)
+    total, scale = _mode_sweep_sum(req, v, wt, par, 0.0, last=0)
     return abs(total) / max(1.0, scale)
 
 
 def _mode_sweep_sum(
-    req: NPointRequest, v: AlgebraElement, wt: float, par: int, beta: float
+    req: NPointRequest,
+    v: AlgebraElement,
+    wt: float,
+    par: int,
+    beta: float,
+    last: int | None = None,
 ) -> tuple[complex, float]:
-    """sum_k sum_m (+-) e(w_k beta) beta^m/m! Z((v[m].)_k ...), with term scale."""
+    """sum_k sum_{m <= last} (+-) e(w_k beta) beta^m/m! Z((v[m].)_k ...), with
+    term scale; beta = 0 with last = 0 is the v[0] sum."""
     vs = tuple(u for u, _ in req.insertions)
     facs = [1.0 + 0.0j]  # beta^m / m!
     total = 0.0 + 0.0j
     scale = 0.0
-    for k, m, img, sign in bracket_images(req.spec, v, wt, par, vs):
+    for k, m, img, sign in bracket_images(req.spec, v, wt, par, vs, last=last):
         while len(facs) <= m:
             facs.append(facs[-1] * (beta / len(facs)))
         w_k = req.insertions[k - 1][1]

@@ -89,9 +89,6 @@ class StepResult:
 def _select_branch(req: NPointRequest, alpha: float, integer_weight: bool) -> Branch | None:
     if not integer_weight:
         return None
-    if req.params.shift is not None:
-        lam, mu = req.params.shift
-        return Branch(kind="lattice", lam=int(lam), mu=int(mu))
     return BranchSelector().classify(alpha, req.params.z, req.params.tau)
 
 

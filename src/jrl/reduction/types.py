@@ -36,7 +36,6 @@ class JacobiParams:
     supertrace: bool = False
     include_c_shift: bool = False
     charge_weight_shift: float = 0.0
-    shift: tuple[int, int] | None = None
 
     @property
     def zeta(self) -> complex:

@@ -6,7 +6,6 @@ from ..errors import DomainViolation
 from .eisenstein import (
     eisenstein,
     eisenstein_tilde,
-    eisenstein_tilde_series_coefficient,
     eisenstein_twisted,
     p1_twisted_series_coefficient,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "default_truncation",
     "eisenstein",
     "eisenstein_tilde",
-    "eisenstein_tilde_series_coefficient",
     "eisenstein_twisted",
     "jacobi_slash",
     "laurent_coeffs_p1",

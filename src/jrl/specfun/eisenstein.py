@@ -5,10 +5,9 @@ Normalization: for even k >= 2
     E_k(tau) = -B_k/k! + (2/(k-1)!) sum_{n>=1} n^{k-1} q^n / (1 - q^n),
 
 E_k = 0 for odd k, and E_0 = -1.  Lambert factors are expanded as
-geometric series and truncated at total q-order n_q; terms are added in
-a fixed order (outer index ascending) with compensated summation, so
-results are independent of any caller-side parallelism.  No factor of a
-term is formed on its own where it could overflow: n^{k-1} past the float
+geometric series and truncated at total q-order n_q; the terms are summed
+exactly rounded (`stable_sum`), so the result does not depend on their
+order.  No factor of a term is formed on its own where it could overflow: n^{k-1} past the float
 range stays an exact integer until it meets its q-power (`_times_int`),
 and the flux enters through bases of modulus below 1.  A term or sum that
 is itself not finite raises DomainViolation.
@@ -111,6 +110,8 @@ def eisenstein_tilde(k: int, z: complex, tau: ModularPoint, tr: Truncation) -> c
     Etilde_k = -[k=1] q_z/(q_z - 1) - B_k/k!
                + (1/(k-1)!) sum_{m,n>=1} n^{k-1} ((q^n q_z)^m + (-1)^k (q^n/q_z)^m).
 
+    These are the expansion coefficients of the flux-deformed kernel:
+    Ptilde_1(w, z) = 1/(2 pi i w) - sum_{k>=1} Etilde_k (2 pi i w)^{k-1}.
     Requires |Im z| < Im tau for the double series; the k = 1 term has a
     pole at q_z = 1.
     """
@@ -142,13 +143,3 @@ def eisenstein_tilde(k: int, z: complex, tau: ModularPoint, tr: Truncation) -> c
             terms.append(nk * flux if nk is not None else _times_int(n ** (k - 1), flux))
     return _finite(head + pref * stable_sum(terms), k, tr)
 
-
-def eisenstein_tilde_series_coefficient(
-    k: int, z: complex, tau: ModularPoint, tr: Truncation
-) -> complex:
-    """Coefficient c_k with Ptilde_1(w, z) = 1/(2 pi i w) - sum_{k>=1} c_k (2 pi i w)^{k-1}.
-
-    For the flux-deformed kernel the expansion coefficients are exactly
-    Etilde_k; provided as a named helper for symmetry with the twisted case.
-    """
-    return eisenstein_tilde(k, z, tau, tr)

@@ -18,6 +18,7 @@ import numpy as np
 
 from ..errors import DomainViolation, FitIllConditioned, PoleHit
 from .points import TWO_PI_I, ModularPoint, Truncation, phase
+from .series import stable_sum
 
 MAX_FIT_ORDER = 12
 
@@ -44,26 +45,6 @@ class LaurentFit:
         return iter(self.coefficients)
 
 
-def _neumaier_columns(terms: np.ndarray) -> np.ndarray:
-    """Compensated sums down the columns of a complex (T, S) array.
-
-    Each column is added in row order, carrying the exact rounding error
-    of every partial sum (Knuth's two-sum), so column s equals
-    series.stable_sum(terms[:, s]) bit for bit.
-    """
-    x = np.concatenate([terms.real, terms.imag], axis=1)
-    total = np.zeros(x.shape[1])
-    comp = np.zeros(x.shape[1])
-    for t in x:
-        u = total + t
-        v = u - total
-        comp += (total - (u - v)) + (t - v)
-        total = u
-    total += comp
-    half = terms.shape[1]
-    return total[:half] + 1j * total[half:]
-
-
 def _p1_strip(
     ws: np.ndarray, tau: ModularPoint, tr: Truncation, q_z: complex | None
 ) -> np.ndarray:
@@ -77,7 +58,7 @@ def _p1_strip(
     |Im w| < Im tau, w != 0, and |Im z| < Im tau: small circles around the
     origin, where the annulus forms do not apply.  The flux enters through
     the bases q^n q_z and q^n/q_z of modulus below 1, so no factor
-    overflows on its own.  Terms run over n ascending, then m.
+    overflows on its own.  Each sample's terms are summed by stable_sum.
     """
     if q_z is None:
         head, q_z = -0.5, 1.0 + 0.0j
@@ -95,7 +76,7 @@ def _p1_strip(
         terms = up[:, n] * (q_n * q_z) ** m - down[:, n] * (q_n / q_z) ** m
     if not np.isfinite(terms).all():
         raise DomainViolation(f"strip terms overflow at n_q {tr.n_q} and Im tau {tau.tau.imag}")
-    return head - q_w / (1.0 - q_w) - _neumaier_columns(terms.T)
+    return head - q_w / (1.0 - q_w) - np.array([stable_sum(row) for row in terms])
 
 
 def laurent_coeffs_p1(

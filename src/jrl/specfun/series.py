@@ -1,12 +1,15 @@
-"""Exact Bernoulli numbers, exact powers of unit power series, and
-compensated summation."""
+"""Exact Bernoulli numbers, exact powers of unit power series, and the
+exactly rounded sum every series in `specfun` goes through."""
 
 from __future__ import annotations
 
+import cmath
 import math
 import threading
 from fractions import Fraction
 from typing import Iterable
+
+import numpy as np
 
 from ..errors import DomainViolation
 from .points import check_order
@@ -50,26 +53,16 @@ def unit_power(a: list[Fraction], p: int) -> list[Fraction]:
     return b
 
 
-def stable_sum(terms: Iterable[complex]) -> complex:
-    """Neumaier-compensated sum of complex terms in the given order."""
-    sr = 0.0
-    si = 0.0
-    cr = 0.0
-    ci = 0.0
-    for t in terms:
-        t = complex(t)
-        x = t.real
-        u = sr + x
-        if abs(sr) >= abs(x):
-            cr += (sr - u) + x
-        else:
-            cr += (x - u) + sr
-        sr = u
-        y = t.imag
-        v = si + y
-        if abs(si) >= abs(y):
-            ci += (si - v) + y
-        else:
-            ci += (y - v) + si
-        si = v
-    return complex(sr + cr, si + ci)
+def stable_sum(terms: Iterable[complex] | np.ndarray) -> complex:
+    """The sum of complex terms, exactly rounded: math.fsum of the real and
+    of the imaginary parts, so the result does not depend on the order of
+    the terms.  A sum that is not a finite float (finite terms summing
+    past the float range, an infinite or NaN term) raises DomainViolation."""
+    z = np.asarray(terms if isinstance(terms, np.ndarray) else list(terms), dtype=complex)
+    try:
+        total = complex(math.fsum(z.real.tolist()), math.fsum(z.imag.tolist()))
+    except (OverflowError, ValueError):  # past the float range, or inf - inf
+        total = complex("nan")
+    if not cmath.isfinite(total):
+        raise DomainViolation(f"a sum of {z.size} series terms is not finite")
+    return total

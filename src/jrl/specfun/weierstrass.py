@@ -13,9 +13,9 @@ evaluated by ``_mode_sum``.  The public names pick its parameters:
     weier_p_tilde       q_z         0     0            none
     weier_p_deformed    theta^{-1}  0     twist.lam    0, only when (theta, phi) = (1, 1)
 
-The mode index j = n - lam runs 0, 1, -1, 2, -2, ..., n_mode, -n_mode,
-and the terms are added in that order with compensated summation.  A
-term whose q-exponent s = n + e is negative is rewritten through
+The mode index j = n - lam runs from -n_mode to n_mode, and the terms
+are summed exactly rounded (`stable_sum`).  A term whose q-exponent
+s = n + e is negative is rewritten through
 
     1/(1 - u q^s) = -r / (1 - r),        r = q^{-s} / u,
 
@@ -55,10 +55,7 @@ def _mode_sum(
     if m < 1:
         raise DomainViolation(f"kernel order must be >= 1, got {m}")
     check_order(m, "kernel order")
-    a = np.arange(1, tr.n_mode + 1, dtype=float)
-    j = np.zeros(2 * tr.n_mode + 1)
-    j[1::2] = a
-    j[2::2] = -a
+    j = np.arange(-tr.n_mode, tr.n_mode + 1, dtype=float)
     n = j + lam
     # n^{m-1} vanishes at n = 0 for m >= 2: drop that term with the omitted one
     keep = (n != 0.0) | (m == 1)
@@ -93,7 +90,7 @@ def _mode_sum(
     if not np.isfinite(terms).all():
         raise DomainViolation(f"kernel terms overflow at order {m} and n_mode {tr.n_mode}")
     sign = -1.0 if m % 2 else 1.0
-    return sign / math.factorial(m - 1) * stable_sum(terms.tolist())
+    return sign / math.factorial(m - 1) * stable_sum(terms)
 
 
 def weier_p(m: int, p: AnnulusPoint, tr: Truncation) -> complex:

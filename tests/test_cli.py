@@ -196,7 +196,6 @@ def test_reduce_rejects_creator_label_below_one(tmp_path, algebra, sector, state
     "section, field, value",
     [
         (None, "cap", "eight"),
-        ("params", "shift", [1]),
         (None, "insertions", 5),
         ("algebra", "rank", "two"),
         (None, "sector", "x"),
@@ -204,11 +203,10 @@ def test_reduce_rejects_creator_label_below_one(tmp_path, algebra, sector, state
         (None, "truncation", {"n_q": "x"}),
         (None, "truncation", {"n_q": 12.7}),
         ("algebra", "rank", True),
-        ("params", "shift", [1.5, 0]),
     ],
     ids=[
-        "cap", "shift", "insertions", "rank", "sector", "boson_label", "truncation",
-        "truncation_fraction", "rank_bool", "shift_fraction",
+        "cap", "insertions", "rank", "sector", "boson_label", "truncation",
+        "truncation_fraction", "rank_bool",
     ],
 )
 def test_reduce_rejects_malformed_values(tmp_path, section, field, value):
@@ -218,6 +216,18 @@ def test_reduce_rejects_malformed_values(tmp_path, section, field, value):
     assert r.returncode == 2, r.stdout + r.stderr
     assert "Traceback" not in r.stderr
     assert "malformed" in r.stderr and field in r.stderr
+
+
+@pytest.mark.parametrize("value", [[1, 0], [1.5, 0]], ids=["shift", "shift_fraction"])
+def test_reduce_rejects_params_shift(tmp_path, value):
+    # a forced lattice shift disagreed with the direct trace wherever the
+    # flux selects another branch, so shift is not a request field
+    bad = json.loads(json.dumps(BASE_REQUEST))
+    bad["params"]["shift"] = value
+    r = run_cli("reduce", request=bad, tmp_path=tmp_path)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "Traceback" not in r.stderr
+    assert "unknown fields in request.params: ['shift']" in r.stderr
 
 
 def test_reduce_oracle_takes_the_bilinear_field(tmp_path):

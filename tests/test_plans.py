@@ -64,11 +64,11 @@ SCAN = [  # nested positions, cyclic gaps at least 0.15
 ]
 
 
-def family(spec, sector, cap, states, supertrace=False, z=Z0, shift=None):
+def family(spec, sector, cap, states, supertrace=False, z=Z0):
     return NPointRequest(
         spec=spec, sector=sector, cap=cap, headroom=8,
         insertions=tuple(zip(states, SCAN[0])),
-        params=JacobiParams(z=z, tau=TAU, supertrace=supertrace, shift=shift),
+        params=JacobiParams(z=z, tau=TAU, supertrace=supertrace),
     )
 
 
@@ -76,8 +76,9 @@ FAMILIES = {
     "lattice": family(HEIS, (0.6,), 3.0, (J, J, J)),
     "generic": family(CF, (), 2.0, (B, C, B, C), supertrace=True),
     "deformed": family(RF, (), 3.5, (oscillator_state("b", 1),) * 4, supertrace=True),
-    # lam = 1 puts a zero-mode trace into every stage
-    "shifted": family(HEIS, (0.6,), 3.0, (J, J, J), shift=(1, 0)),
+    # at z = tau the selector gives lam = +-1: lattice-shifted images, a
+    # c after a b, and a zero-mode trace in every stage
+    "shifted": family(CF, (), 2.0, (B, C, C, B), supertrace=True, z=TAU.tau),
     "lattice_flux": family(CF, (), 3.0, (B, C), supertrace=True, z=TAU.tau),
 }
 

@@ -299,12 +299,12 @@ def test_reduce_step_subset_of_full():
         cferm_request(cap=6.0),  # generic flux: tilde kernels
         heis_request(n=2, cap=6.0),  # lam = 0: twisted kernels and a zero-mode scalar
         NPointRequest(
-            spec=HEIS,
-            sector=(0.6,),
+            spec=CFERM,
+            sector=(),
             cap=6.0,
-            insertions=heis_request(n=2).insertions,
-            params=JacobiParams(z=Z0, tau=TAU, shift=(1, 0)),
-        ),  # lattice shift: twisted kernels and a zero-mode trace
+            insertions=((oscillator_state("c", 1), 0.12j), (oscillator_state("b", 1), 0.31j)),
+            params=JacobiParams(z=TAU.tau, tau=TAU, supertrace=True),
+        ),  # lattice flux, lam = +-1: twisted kernels and a zero-mode trace
         NPointRequest(
             spec=RFERM,
             sector=(),

@@ -11,7 +11,6 @@ from jrl.specfun import (
     Truncation,
     eisenstein,
     eisenstein_tilde,
-    eisenstein_tilde_series_coefficient,
     eisenstein_twisted,
     p1_twisted_series_coefficient,
     phase,
@@ -93,14 +92,6 @@ def test_tilde_series_coefficients_flux_periodic():
     for k in (1, 2, 3):
         a = eisenstein_tilde(k, z, HALF_I, TR)
         b = eisenstein_tilde(k, z + 1.0, HALF_I, TR)
-        assert abs(a - b) < 1e-12
-
-
-def test_tilde_matches_series_coefficient_route():
-    z = 0.23 - 0.11j
-    for k in (1, 2, 3, 4):
-        a = eisenstein_tilde(k, z, HALF_I, TR)
-        b = eisenstein_tilde_series_coefficient(k, z, HALF_I, TR)
         assert abs(a - b) < 1e-12
 
 

@@ -2,10 +2,12 @@ import math
 import cmath
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jrl.errors import DomainViolation
 from jrl.specfun import (
     bernoulli,
     default_truncation,
@@ -43,9 +45,39 @@ def test_bernoulli_values():
 
 
 def test_stable_sum_cancellation():
-    # naive summation loses ~7 digits here, compensated summation must not
-    terms = [1e16, 1.0, -1e16, 3.0]
-    assert abs(stable_sum(terms) - 4.0) < 1e-12
+    # naive summation loses ~7 digits here, an exactly rounded sum none
+    assert stable_sum([1e16, 1.0, -1e16, 3.0]) == 4.0
+    # a compensated sum gives 1e16; the exact sum rounds to the next float
+    assert stable_sum([1e16, 1.0, 1e-16]) == 1.0000000000000002e16
+
+
+def exact_sum(xs) -> float:
+    """The float nearest the exact rational sum of xs."""
+    return float(sum((Fraction(x) for x in xs), Fraction(0)))
+
+
+finite = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+
+
+@given(st.lists(st.tuples(finite, finite), max_size=40), st.randoms())
+@settings(max_examples=200, deadline=None)
+def test_stable_sum_is_exactly_rounded(parts, rnd):
+    terms = [complex(x, y) for x, y in parts]
+    want = complex(exact_sum(x for x, _ in parts), exact_sum(y for _, y in parts))
+    assert stable_sum(terms) == want
+    rnd.shuffle(terms)  # in any order, from any iterable
+    assert stable_sum(iter(terms)) == want
+    assert stable_sum(np.array(terms, dtype=complex)) == want
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [[1e308, 1e308], [math.inf, -math.inf], [1j * math.inf, 1.0]],
+    ids=["overflow", "inf-inf", "inf"],
+)
+def test_stable_sum_rejects_a_sum_that_is_not_finite(terms):
+    with pytest.raises(DomainViolation):
+        stable_sum(terms)
 
 
 def test_series_em1_over_z():

@@ -3,7 +3,6 @@ import math
 from dataclasses import replace
 
 import mpmath
-import numpy as np
 import pytest
 
 import oracles
@@ -25,9 +24,8 @@ from jrl.specfun import (
     weier_p_tilde,
     weier_p_twisted,
 )
-from jrl.specfun.laurent import _neumaier_columns
 from jrl.specfun.points import MAX_NMODE, MAX_NQ, MAX_ORDER
-from jrl.specfun.series import bernoulli, stable_sum
+from jrl.specfun.series import bernoulli
 
 TR = Truncation(n_q=48, n_mode=96, tol=1e-14)
 HALF_I = ModularPoint(0.5j)
@@ -172,15 +170,6 @@ def test_truncation_orders_are_capped():
 def test_orders_are_capped(evaluate):
     with pytest.raises(DomainViolation, match="MAX_ORDER"):
         evaluate(MAX_ORDER + 1)
-
-
-def test_column_sums_match_stable_sum():
-    rng = np.random.default_rng(3)
-    terms = rng.normal(size=(40, 5)) * 10.0 ** rng.integers(-12, 12, size=(40, 5))
-    terms = terms + 1j * terms[::-1]
-    got = _neumaier_columns(terms)
-    for s in range(terms.shape[1]):
-        assert got[s] == stable_sum(terms[:, s].tolist())
 
 
 def test_p_tilde_pole_at_lattice_flux():
