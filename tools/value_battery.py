@@ -72,7 +72,8 @@ def cli(out, argv: list[str]) -> None:
     r = subprocess.run(
         [sys.executable, "-m", "jrl", *argv], capture_output=True, text=True, env=env
     )
-    out.write(f"## jrl {' '.join(argv[:-1] if '--request' in argv[-2:] else argv)}\n")
+    # the request files live in a temporary directory: leave their paths out
+    out.write(f"## jrl {' '.join(a for a in argv if not a.endswith('.json'))}\n")
     out.write(f"exit {r.returncode}\n{r.stdout}stderr: {r.stderr!r}\n")
 
 
