@@ -31,7 +31,7 @@ from .specfun import (
 
 if TYPE_CHECKING:
     from .reduction import NPointRequest
-    from .voa import AlgebraElement, AlgebraSpec, BasisState
+    from .voa import AlgebraElement, AlgebraSpec
 
 SCHEMA = 1
 
@@ -230,52 +230,6 @@ def request_from_json(doc: dict) -> NPointRequest:
         params=params,
         truncation=tr,
     )
-
-
-def _state_to_json(state: BasisState):
-    return {
-        "boson": [list(p) for p in state.boson],
-        "ferm_b": list(state.ferm_b),
-        "ferm_c": list(state.ferm_c),
-    }
-
-
-def request_to_json(req: NPointRequest) -> dict:
-    insertions = []
-    for v, w in req.insertions:
-        items = sorted(v.terms.items())
-        if len(items) != 1:
-            raise UsageError("only single-state insertions serialize losslessly")
-        state, coeff = items[0]
-        insertions.append(
-            {"state": _state_to_json(state), "coefficient": c2l(coeff), "z": c2l(w)}
-        )
-    out = {
-        "schema": SCHEMA,
-        "algebra": {
-            "kind": req.spec.kind,
-            "rank": req.spec.rank,
-            "grading": req.spec.grading,
-        },
-        "sector": list(req.sector),
-        "cap": req.cap,
-        "params": {
-            "z": c2l(req.params.z),
-            "tau": c2l(req.params.tau.tau),
-            "supertrace": req.params.supertrace,
-            "include_c_shift": req.params.include_c_shift,
-            "charge_weight_shift": req.params.charge_weight_shift,
-        },
-        "insertions": insertions,
-        "truncation": {
-            "n_q": req.truncation.n_q,
-            "n_mode": req.truncation.n_mode,
-            "tol": req.truncation.tol,
-        },
-    }
-    if req.spec.current is not None:
-        out["algebra"]["current"] = list(req.spec.current)
-    return out
 
 
 def ledger_to_json(ledger) -> dict:

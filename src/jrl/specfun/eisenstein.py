@@ -10,7 +10,8 @@ exactly rounded (`stable_sum`), so the result does not depend on their
 order.  No factor of a term is formed on its own where it could overflow: n^{k-1} past the float
 range stays an exact integer until it meets its q-power (`_times_int`),
 and the flux enters through bases of modulus below 1.  A term or sum that
-is itself not finite raises DomainViolation.
+is itself not finite raises DomainViolation, and so does a power lam^j of
+the twisted sums that passes the float range.
 """
 
 from __future__ import annotations
@@ -33,6 +34,14 @@ def _times_int(n: int, c: complex) -> complex:
         return complex(math.ldexp(x.real, e), math.ldexp(x.imag, e))
     except OverflowError:
         raise DomainViolation("an Eisenstein series term overflows the float range") from None
+
+
+def _power(x: float, j: int) -> float:
+    """x**j, or DomainViolation where it passes the float range."""
+    try:
+        return x**j
+    except OverflowError:
+        raise DomainViolation(f"lam^{j} overflows the float range at lam = {x}") from None
 
 
 def _finite(value: complex, k: int, tr: Truncation) -> complex:
@@ -72,7 +81,7 @@ def eisenstein_twisted(k: int, lam: float, tau: ModularPoint, tr: Truncation) ->
         raise DomainViolation("index must be nonnegative")
     check_order(k, "Eisenstein index")
     return stable_sum(
-        (lam**j / math.factorial(j)) * eisenstein(k - j, tau, tr) for j in range(k + 1)
+        (_power(lam, j) / math.factorial(j)) * eisenstein(k - j, tau, tr) for j in range(k + 1)
     )
 
 
@@ -100,7 +109,7 @@ def p1_twisted_series_coefficient(k: int, lam: float, tau: ModularPoint, tr: Tru
         return eisenstein(j, tau, tr)
 
     return stable_sum(
-        ((-lam) ** j / math.factorial(j)) * estar(k - j) for j in range(k + 1)
+        (_power(-lam, j) / math.factorial(j)) * estar(k - j) for j in range(k + 1)
     )
 
 

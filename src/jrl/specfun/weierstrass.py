@@ -70,7 +70,11 @@ def _mode_sum(
     # Re tau' in (-1/2, 1/2]; e(k x) restores e(tau x) for fractional x,
     # which s holds only for fractional lam
     k = round(p.tau.tau.real - cmath.phase(q) / (2.0 * math.pi)) if lam % 1 else 0
-    q_s, q_lift = q ** np.abs(s), q ** (-lam - e)
+    q_s = q ** np.abs(s)
+    try:
+        q_lift = q ** (-lam - e)
+    except OverflowError:
+        raise DomainViolation(f"q^{-lam - e:g} overflows the float range") from None
     if k:
         q_s = q_s * np.exp(TWO_PI_I * ((k * np.abs(s)) % 1.0))
         q_lift *= phase(k * (-lam - e))

@@ -9,7 +9,6 @@ from .algebra import (
     ModeOp,
     ModuleSpace,
     apply_mode,
-    current_zero_mode_scalar,
     enumerate_basis,
     sector_weight,
     state_charge,
@@ -46,7 +45,6 @@ __all__ = [
     "apply_field",
     "apply_mode",
     "current_state",
-    "current_zero_mode_scalar",
     "enumerate_basis",
     "graded_trace",
     "kappa",

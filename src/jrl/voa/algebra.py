@@ -18,21 +18,26 @@ Basis states are canonical products: boson creators as a sorted multiset of
 with the b block left of the c block.  All fermionic signs are relative to
 that ordering.
 
+The creators of a level-cap module are described once, by the slot table
+of `creator_slots`: one slot per (species, flavor, label), with its level,
+in canonical order.  Three readers share it: `enumerate_basis` is one
+recursion over the slots, `FockArrays` packs states by them, and
+`_round_modes` takes the largest labels of its mode sums from them.
+
 A module also carries `FockArrays`: an exact integer key per state, built
-from the occupations of its creator slots, one slot per (species, flavor,
-label).  Fermion occupations are bits, so the key of a fermionic state is
-its bit string; boson occupations are packed mixed-radix.  A single mode
-acts on a vector of state indices by integer arithmetic on the keys plus
-`np.searchsorted` (the usual exact-diagonalisation encoding, H. Q. Lin,
-Phys. Rev. B 42, 6561 (1990)).  That action, `mode_image`, is the only
-one: the traces use it on index arrays, and `apply_terms`, `apply_mode`
-and `zero_mode_operator` map an element's states to indices, chain it
-over mode monomials and convert back to an `AlgebraElement`.
+from the occupations of its creator slots.  Fermion occupations are bits,
+so the key of a fermionic state is its bit string; boson occupations are
+packed mixed-radix.  A single mode acts on a vector of state indices by
+integer arithmetic on the keys plus `np.searchsorted` (the usual
+exact-diagonalisation encoding, H. Q. Lin, Phys. Rev. B 42, 6561 (1990)).
+That action, `mode_image`, is the only one: the traces use it on index
+arrays, and `apply_terms`, `apply_mode` and `zero_mode_operator` map an
+element's states to indices, chain it over mode monomials and convert
+back to an `AlgebraElement`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -125,6 +130,24 @@ def state_level(spec: AlgebraSpec, state: BasisState) -> float:
         lvl += sum(n - 1.0 + wb for n in state.ferm_b)
         lvl += sum(n - 1.0 + wc for n in state.ferm_c)
     return lvl
+
+
+def creator_slots(spec: AlgebraSpec, cap: float) -> list[tuple[str, int, int, float]]:
+    """(species, flavor, label, level) of every creator of level <= cap, in
+    the order of a canonical BasisState: bosons by (flavor, label), then b
+    labels, then c labels.  The boson a^f(-l) sits at level l; label j of a
+    fermion of weight w0 at level j - 1 + w0.  This is the one description
+    of a module's creators."""
+    if spec.kind == "heisenberg":
+        return [("a", f, l, float(l)) for f in range(spec.rank) for l in range(1, int(cap) + 1)]
+    slots = []
+    for species in ("b", "c") if spec.kind == "complex_fermion" else ("b",):
+        w0 = spec.species_weight(species)
+        j = 1
+        while j - 1.0 + w0 <= cap:
+            slots.append((species, 0, j, j - 1.0 + w0))
+            j += 1
+    return slots
 
 
 def state_charge(spec: AlgebraSpec, sector: tuple[float, ...], state: BasisState) -> float:
@@ -273,27 +296,10 @@ class FockArrays:
 
     def __init__(self, module: ModuleSpace):
         spec, cap, dim = module.spec, module.cap, module.dim
-        slots: list[tuple[str, int, int]] = []
-        slot_level: list[float] = []
-        if spec.kind == "heisenberg":
-            for f in range(spec.rank):
-                for l in range(1, int(math.floor(cap)) + 1):
-                    slots.append(("a", f, l))
-                    slot_level.append(float(l))
-        else:
-            for species in ("b", "c") if spec.kind == "complex_fermion" else ("b",):
-                w0 = spec.species_weight(species)
-                j = 1
-                while j - 1.0 + w0 <= cap:
-                    slots.append((species, 0, j))
-                    slot_level.append(j - 1.0 + w0)
-                    j += 1
-        self.slot_index = {slot: s for s, slot in enumerate(slots)}
-        self.slot_level = slot_level
-        if spec.kind == "heisenberg":
-            self.slot_radix = [int(cap // l) + 1 for l in slot_level]
-        else:
-            self.slot_radix = [2] * len(slots)
+        slots = creator_slots(spec, cap)
+        self.slot_index = {(x, f, l): s for s, (x, f, l, _) in enumerate(slots)}
+        self.slot_level = slot_level = [lvl for *_, lvl in slots]
+        self.slot_radix = [int(cap // lvl) + 1 if x == "a" else 2 for x, _, _, lvl in slots]
 
         # split the slots into groups whose packed code fits next to a rank
         limit = _KEY_LIMIT // (dim + 1)
@@ -404,66 +410,30 @@ def enumerate_basis(
         # the NS-type module is unique; no continuous charge label
         raise DomainViolation("fermionic modules carry no sector label")
 
-    states: list[BasisState] = []
+    slots = creator_slots(spec, cap)
+    level = [lvl for *_, lvl in slots]
+    # each creator joins one field of BasisState: boson pairs, b or c labels
+    part = ["abc".index(x) for x, *_ in slots]
+    item = [(f, l) if x == "a" else l for x, f, l, _ in slots]
+    # bosons repeat a slot, fermions take each at most once
+    step = 0 if spec.kind == "heisenberg" else 1
+    parts: tuple[list, list, list] = ([], [], [])
+    found: list[tuple[float, BasisState]] = []
 
-    if spec.kind == "heisenberg":
-        icap = int(math.floor(cap))
+    def rec(start: int, total: float):
+        found.append((total, BasisState(*map(tuple, parts))))
+        if len(found) > max_states:
+            raise CapTooLarge("state budget exceeded")
+        for s in range(start, len(slots)):
+            lvl = total + level[s]
+            if lvl <= cap:
+                parts[part[s]].append(item[s])
+                rec(s + step, lvl)
+                parts[part[s]].pop()
 
-        def rec_boson(prefix: list[tuple[int, int]], total: int, min_pair: tuple[int, int]):
-            states.append(BasisState(boson=tuple(prefix)))
-            if len(states) > max_states:
-                raise CapTooLarge("state budget exceeded")
-            for f in range(spec.rank):
-                for l in range(1, icap - total + 1):
-                    if (f, l) < min_pair:
-                        continue
-                    prefix.append((f, l))
-                    rec_boson(prefix, total + l, (f, l))
-                    prefix.pop()
-
-        rec_boson([], 0, (0, 1))
-    elif spec.kind == "real_fermion":
-        wb = spec.species_weight("b")
-
-        def rec_real(prefix: list[int], total: float, start: int):
-            states.append(BasisState(ferm_b=tuple(prefix)))
-            if len(states) > max_states:
-                raise CapTooLarge("state budget exceeded")
-            n = start
-            while total + (n - 1.0 + wb) <= cap:
-                prefix.append(n)
-                rec_real(prefix, total + (n - 1.0 + wb), n + 1)
-                prefix.pop()
-                n += 1
-
-        rec_real([], 0.0, 1)
-    else:
-        wb = spec.species_weight("b")
-        wc = spec.species_weight("c")
-
-        def subsets(w0: float, budget: float) -> list[tuple[tuple[int, ...], float]]:
-            out: list[tuple[tuple[int, ...], float]] = []
-
-            def rec(prefix: list[int], total: float, start: int):
-                out.append((tuple(prefix), total))
-                n = start
-                while total + (n - 1.0 + w0) <= budget:
-                    prefix.append(n)
-                    rec(prefix, total + (n - 1.0 + w0), n + 1)
-                    prefix.pop()
-                    n += 1
-
-            rec([], 0.0, 1)
-            return out
-
-        for bs, wtb in subsets(wb, cap):
-            for cs, wtc in subsets(wc, cap - wtb):
-                states.append(BasisState(ferm_b=bs, ferm_c=cs))
-                if len(states) > max_states:
-                    raise CapTooLarge("state budget exceeded")
-
-    states.sort(key=lambda s: (state_level(spec, s), s))
-    return ModuleSpace(spec=spec, sector=tuple(sector), cap=float(cap), states=tuple(states))
+    rec(0, 0.0)
+    states = tuple(st for _, st in sorted(found))
+    return ModuleSpace(spec=spec, sector=sector, cap=float(cap), states=states)
 
 
 def _check_mode(op: ModeOp, spec: AlgebraSpec) -> None:
@@ -563,6 +533,10 @@ def _round_modes(
     if state == VACUUM:
         return lambda n: [(coeff, ())] if n == -1 else []
 
+    def top(species: str) -> int:
+        """The largest label of the module's creators of a species, 0 if none."""
+        return max((l for x, _, l, _ in creator_slots(spec, module.cap) if x == species), default=0)
+
     nosc = len(state.boson) + len(state.ferm_b) + len(state.ferm_c)
     if nosc == 1:
         if state.boson:
@@ -584,7 +558,7 @@ def _round_modes(
         (f1, _), (f2, _) = state.boson
         _check_mode(ModeOp("a", 0, f1), spec)
         _check_mode(ModeOp("a", 0, f2), spec)
-        top_a = math.floor(module.cap)  # the largest boson label of the module
+        top_a = top("a")
 
         def pair(n: int) -> Monomials:
             # the two labels add up to n - 1; a label past the top slot
@@ -598,9 +572,7 @@ def _round_modes(
         return pair
 
     if nosc == 2 and spec.kind == "complex_fermion" and state.ferm_b == state.ferm_c == (1,):
-        # the largest b and c labels of the module: label j of weight-w0
-        # species sits at level j - 1 + w0
-        top_b, top_c = (math.floor(module.cap + 1 - spec.species_weight(x)) for x in "bc")
+        top_b, top_c = top("b"), top("c")
 
         def bilinear(n: int) -> Monomials:
             # b(k) touches b label -k or c label k + 1, c(n - 1 - k) touches
@@ -692,12 +664,3 @@ def zero_mode_operator(
     zero_mode_terms, applied with apply_terms."""
     terms = zero_mode_terms(module, v, lam)
     return lambda x: apply_terms(module, terms, x)
-
-
-def current_zero_mode_scalar(module: ModuleSpace) -> float | None:
-    """J(0) eigenvalue if it is a scalar on the module, else None."""
-    spec = module.spec
-    if spec.kind == "heisenberg":
-        beta = spec.current_coefficients()
-        return sum(b * a for b, a in zip(beta, module.sector))
-    return None

@@ -352,11 +352,16 @@ def test_missing_request_file_exits_two(tmp_path):
         ("--fn", "E", "--k", str(MAX_ORDER), "--tau", "0.01i", "--nq", "512"),
         ("--fn", "laurentP", "--kind", "plain", "--k", "4", "--tau", "6i", "--nq", "512"),
         ("--fn", "laurentP", "--kind", "tilde", "--z", "0.5i", "--k", "2", "--tau", "0.5i"),
+        # lam^j and q^(-lam) pass the float range; these exited 3 with an
+        # OverflowError reported as internal_error
+        ("--fn", "Etwist", "--k", "100", "--lambda", "1e5", "--tau", "0.5i"),
+        ("--fn", "Ptwist", "--m", "1", "--lambda", "300", "--w", "0.1+0.2i", "--tau", "0.5i"),
     ],
     ids=[
         "P_order_zero", "laurent_order_13", "E_negative_index", "B_negative_index", "P_overflow",
         "E_past_max_order", "P_past_max_order", "B_past_max_order", "E_terms_overflow",
-        "laurent_strip_overflow", "laurent_flux_off_strip",
+        "laurent_strip_overflow", "laurent_flux_off_strip", "Etwist_power_overflow",
+        "Ptwist_power_overflow",
     ],
 )
 def test_eval_out_of_domain_is_typed_error(args):

@@ -74,6 +74,13 @@ def test_twisted_small_cases():
     assert abs(got - (eisenstein(2, HALF_I, TR) - 4.5)) < 1e-15
 
 
+@pytest.mark.parametrize("fn", [eisenstein_twisted, p1_twisted_series_coefficient])
+def test_twisted_power_overflow_is_domain_violation(fn):
+    # lam^62 passes the float range; an OverflowError here used to escape
+    with pytest.raises(DomainViolation, match="overflows the float range"):
+        fn(100, 1e5, HALF_I, TR)
+
+
 def test_twisted_shift_identity():
     # shifting lam by one multiplies the defining generating kernel by e^u,
     # realized on coefficients as E_{k,lam+1} = sum_{j<=k} E_{k-j,lam}/j!

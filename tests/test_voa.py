@@ -16,7 +16,6 @@ from jrl.voa import (
     apply_field,
     apply_mode,
     current_state,
-    current_zero_mode_scalar,
     enumerate_basis,
     graded_trace,
     kappa,
@@ -172,7 +171,6 @@ def test_kappa_rejects_bad_weight():
 def test_current_zero_mode_is_charge():
     spec = AlgebraSpec(kind="heisenberg", rank=1)
     module = enumerate_basis(spec, (0.6,), 6.0)
-    assert abs(current_zero_mode_scalar(module) - 0.6) < 1e-15
     J = current_state(spec)
     op = zero_mode_operator(module, J)
     x = AlgebraElement.from_state(BasisState(boson=((0, 2),)))

@@ -17,13 +17,18 @@ compared with one `diff` of their files.  The battery runs the program in
   request of the perfbench `reduction` pool;
 - the stage contributions of the four variants on every request of the
   perfbench `coboundary` pool, and the residuals of drawn `chain`,
-  `rec1` and `zero_res` operations.
+  `rec1` and `zero_res` operations;
+- the basis of every perfbench working module and of the modules of the
+  `jrl.checks` partition and commutator checks: its dimension and the
+  sha256 of the repr of its states and of its `FockArrays` keys, so the
+  diff shows a change of the module order.
 
 Each CLI command runs in a fresh interpreter.  It takes under a minute.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import random
@@ -39,6 +44,7 @@ import workloads  # noqa: E402
 from jrl.cli import ledger_to_json  # noqa: E402
 from jrl.reduction import reduce_full, reduction_family, stage_contributions  # noqa: E402
 from jrl.reduction.steps import VARIANTS  # noqa: E402
+from jrl.voa import AlgebraSpec, enumerate_basis, working_module  # noqa: E402
 
 EVAL_SEEDS = (61, 62, 63, 64, 301)
 README_REQUEST = {
@@ -65,6 +71,13 @@ EVAL_COMMANDS = (
     "--fn laurentP --kind plain --k 13 --tau 0.5i",
 )
 DRAWN_OPS = 8  # per non-stage coboundary class
+# (spec, sector, cap) of the enumerate_basis modules of jrl/checks.py
+CHECK_MODULES = (
+    (AlgebraSpec(kind="heisenberg", rank=1), (0.4,), 12),
+    (AlgebraSpec(kind="real_fermion", grading="natural"), (), 11.5),
+    (AlgebraSpec(kind="complex_fermion", grading="charge_shifted"), (), 12),
+    (AlgebraSpec(kind="heisenberg", rank=1), (0.3,), 6),
+)
 
 
 def cli(out, argv: list[str]) -> None:
@@ -127,6 +140,18 @@ def coboundary_battery(out) -> None:
             out.write(f"## coboundary {cls} {i}\n{cob.prepare(op)()!r}\n")
 
 
+def basis_battery(out) -> None:
+    modules = [
+        (f"perfbench {name}", working_module(*entry))
+        for name, entry in workloads.MODULES.items()
+    ]
+    modules += [(f"checks {i}", enumerate_basis(*entry)) for i, entry in enumerate(CHECK_MODULES)]
+    for name, module in modules:
+        states = hashlib.sha256(repr(module.states).encode()).hexdigest()
+        keys = hashlib.sha256(module.arrays.key.tobytes()).hexdigest()
+        out.write(f"## basis {name}\ndim {module.dim}\nstates {states}\nkeys {keys}\n")
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
@@ -135,6 +160,7 @@ def main(argv: list[str]) -> int:
         cli_battery(out, Path(tmp))
         reduction_battery(out)
         coboundary_battery(out)
+        basis_battery(out)
     return 0
 
 
