@@ -417,21 +417,23 @@ def enumerate_basis(
     item = [(f, l) if x == "a" else l for x, f, l, _ in slots]
     # bosons repeat a slot, fermions take each at most once
     step = 0 if spec.kind == "heisenberg" else 1
-    parts: tuple[list, list, list] = ([], [], [])
+    # each slot sequence is a state, walked depth first on a stack: a
+    # recursive closure would keep `found` alive in a reference cycle until
+    # the next collection.  A child shares with its parent the fields its
+    # slot leaves alone, so states with equal b labels share one tuple.
     found: list[tuple[float, BasisState]] = []
-
-    def rec(start: int, total: float):
-        found.append((total, BasisState(*map(tuple, parts))))
+    stack = [(0, 0.0, ((), (), ()))]
+    while stack:
+        start, total, fields = stack.pop()
+        found.append((total, BasisState(*fields)))
         if len(found) > max_states:
             raise CapTooLarge("state budget exceeded")
         for s in range(start, len(slots)):
             lvl = total + level[s]
             if lvl <= cap:
-                parts[part[s]].append(item[s])
-                rec(s + step, lvl)
-                parts[part[s]].pop()
-
-    rec(0, 0.0)
+                grown = list(fields)
+                grown[part[s]] += (item[s],)
+                stack.append((s + step, lvl, grown))
     states = tuple(st for _, st in sorted(found))
     return ModuleSpace(spec=spec, sector=sector, cap=float(cap), states=states)
 
