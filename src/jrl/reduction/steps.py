@@ -29,6 +29,8 @@ FunctionFamily.  `reduce_full` builds the whole tree of "simplest" tables
 once per request family, as a `ReductionPlan`, and evaluates it at each
 request's positions.  The negative-mode rule and the identity residuals
 sweep the same square-bracket images (`bracket_images`) and zero modes.
+Every zero-mode trace, the leaf of a zero row, is a cached `TraceTensor`
+evaluated at the positions (`zero_mode_trace`).
 Every kernel value comes from `specfun_kernel(*kernel_spec(...), tr)`.
 """
 
@@ -47,13 +49,14 @@ from ..errors import (
 from ..specfun.points import AnnulusPoint, TwistPair, phase
 from ..voa.algebra import VACUUM, AlgebraElement, AlgebraSpec, state_level
 from ..voa.squarebracket import last_mode, shifted_square_bracket_image, square_bracket_image
-from ..voa.trace import graded_trace, partition_function
+from ..voa.trace import TraceTensor, partition_function, trace_tensor
 from .types import (
     Branch,
     BranchSelector,
     CoefficientLedger,
     LedgerTerm,
     NPointRequest,
+    _cached_working_module,
     element_weight_charge,
     homogeneous_parts,
     npoint_oracle,
@@ -162,10 +165,35 @@ def zero_mode_scalar(req: NPointRequest, v: AlgebraElement) -> complex | None:
     return scalar
 
 
+TENSOR_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=TENSOR_CACHE_SIZE)
+def _cached_tensor(module_key: tuple, keys: tuple, v_key: tuple, lam: int) -> TraceTensor:
+    """The trace tensor of Tr o_lam(v) Y(x_1, .) ... on the working module
+    of module_key = (spec, sector, cap, headroom), with the keys of the
+    x_i and of v.  The key holds no tau, flux or position, so one tensor
+    serves every evaluation of its family; the cache holds the last
+    TENSOR_CACHE_SIZE families."""
+    elements = tuple(AlgebraElement(dict(key)) for key in keys)
+    module = _cached_working_module(*module_key)
+    return trace_tensor(module, elements, (AlgebraElement(dict(v_key)), lam))
+
+
 def zero_mode_trace(req: NPointRequest, v: AlgebraElement, lam: int, insertions) -> complex:
-    """Tr o_lam(v) Y(x_1, w_1) ... zeta^J q^L over the working module of req."""
-    tw = req.params.trace_weights()
-    return graded_trace(req.module(), list(insertions), req.params.tau, tw, zero_mode=(v, lam))
+    """Tr o_lam(v) Y(x_1, w_1) ... zeta^J q^L over the working module of req.
+
+    This is the leaf of the stage zero rows, the plans' zero rows,
+    `reduce_negative_mode` and `identity_rec1`.  It reads the cached
+    tensor of (module, x_1 ... x_n, v, lam) and evaluates it at the tau,
+    flux and positions of the call, so only a family's first call walks
+    the mode paths."""
+    insertions = tuple(insertions)
+    module_key = (req.spec, req.sector, req.cap, req.headroom)
+    keys = tuple(x.key() for x, _ in insertions)
+    tensor = _cached_tensor(module_key, keys, v.key(), lam)
+    ws = [w for _, w in insertions]
+    return tensor.evaluate(req.params.tau, req.params.trace_weights(), ws)
 
 
 def kernel_spec(

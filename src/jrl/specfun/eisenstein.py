@@ -10,8 +10,9 @@ exactly rounded (`stable_sum`), so the result does not depend on their
 order.  No factor of a term is formed on its own where it could overflow: n^{k-1} past the float
 range stays an exact integer until it meets its q-power (`_times_int`),
 and the flux enters through bases of modulus below 1.  A term or sum that
-is itself not finite raises DomainViolation, and so does a power lam^j of
-the twisted sums that passes the float range.
+is itself not finite raises DomainViolation, and so does a term lam^j/j!
+of the twisted sums that passes the float range, for a float or an
+integer lam.
 """
 
 from __future__ import annotations
@@ -36,10 +37,11 @@ def _times_int(n: int, c: complex) -> complex:
         raise DomainViolation("an Eisenstein series term overflows the float range") from None
 
 
-def _power(x: float, j: int) -> float:
-    """x**j, or DomainViolation where it passes the float range."""
+def _power_term(x: float, j: int) -> float:
+    """x**j / j!, or DomainViolation where it passes the float range.  An
+    integer x keeps its exact power, so the quotient is rounded once."""
     try:
-        return x**j
+        return x**j / math.factorial(j)
     except OverflowError:
         raise DomainViolation(f"lam^{j} overflows the float range at lam = {x}") from None
 
@@ -81,7 +83,7 @@ def eisenstein_twisted(k: int, lam: float, tau: ModularPoint, tr: Truncation) ->
         raise DomainViolation("index must be nonnegative")
     check_order(k, "Eisenstein index")
     return stable_sum(
-        (_power(lam, j) / math.factorial(j)) * eisenstein(k - j, tau, tr) for j in range(k + 1)
+        _power_term(lam, j) * eisenstein(k - j, tau, tr) for j in range(k + 1)
     )
 
 
@@ -109,7 +111,7 @@ def p1_twisted_series_coefficient(k: int, lam: float, tau: ModularPoint, tr: Tru
         return eisenstein(j, tau, tr)
 
     return stable_sum(
-        (_power(-lam, j) / math.factorial(j)) * estar(k - j) for j in range(k + 1)
+        _power_term(-lam, j) * estar(k - j) for j in range(k + 1)
     )
 
 

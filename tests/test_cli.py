@@ -473,6 +473,19 @@ def test_verify_nq_moves_a_reduction_residual(capsys, monkeypatch):
     assert residuals[0] < 1e-12 < 1e-7 < residuals[1] < 1e-5
 
 
+def test_verify_nmode_fails_only_the_two_current_match(capsys, monkeypatch):
+    # two_current_match reduces J J through a P_2 mode sum cut at n_mode
+    # (residual 2.4e-4 at n_mode 8); no other reduction check reads n_mode
+    from jrl import cli
+
+    monkeypatch.delenv("JRL_DEFAULT_NQ", raising=False)
+    monkeypatch.delenv("JRL_DEFAULT_TOL", raising=False)
+    assert cli.main(["verify", "--suite", "reduction", "--nmode", "8"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert [c["name"] for c in doc["checks"] if not c["pass"]] == ["two_current_match"]
+    assert doc["summary"]["failed"] == 1
+
+
 def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
     from jrl import cli
 

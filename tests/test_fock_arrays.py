@@ -1,6 +1,7 @@
 """The array trace engine against the per-state loop reference."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,10 +22,10 @@ from jrl.voa import (
     apply_field,
     current_state,
     enumerate_basis,
-    graded_trace,
     npoint_trace,
     oscillator_state,
     partition_function,
+    trace_tensor,
     zero_mode_operator,
 )
 from jrl.voa import algebra
@@ -113,28 +114,46 @@ UNSUPPORTED_PAIR = AlgebraElement.from_state(BasisState(boson=((0, 1), (0, 2))))
 ZERO_CASES = {
     "vac.0": (HEIS2, (0.7, 0.3), 3.0, HALF_VACUUM, 0, (A0, A1)),
     "vac.1": (HEIS2, (0.7, 0.3), 3.0, HALF_VACUUM, 1, (A0, A1)),
+    "J.-1": (HEIS2, (0.7, 0.3), 3.0, J2, -1, (A0, A1)),
     "J.0": (HEIS2, (0.7, 0.3), 3.0, J2, 0, (A0, A1)),
     "J.1": (HEIS2, (0.7, 0.3), 3.0, J2, 1, (A0, A1)),
     "a(-2).1": (HEIS2, (0.7, 0.3), 3.0, A2, 1, (A0, A1)),
+    "a0a1.-1": (HEIS2, (0.7, 0.3), 3.0, A0A1, -1, (A0, A1)),
     "a0a1.0": (HEIS2, (0.7, 0.3), 3.0, A0A1, 0, (A0, A1)),
     "a0a1.1": (HEIS2, (0.7, 0.3), 3.0, A0A1, 1, (A0, A1)),
     "a0a1.2": (HEIS2, (0.7, 0.3), 3.0, A0A1, 2, (A0, A1)),
+    "bc.-1": (CF_SHIFTED, (), 4.0, current_state(CF_SHIFTED), -1, (B, C)),
     "bc.0": (CF_SHIFTED, (), 4.0, current_state(CF_SHIFTED), 0, (B, C)),
     "bc.1": (CF_SHIFTED, (), 4.0, current_state(CF_SHIFTED), 1, (B, C)),
+    "b.-1": (CF_NATURAL, (), 3.5, B, -1, (C, B)),
+    "b.0": (CF_NATURAL, (), 3.5, B, 0, (C, B)),
+    "rf.1": (RF, (), 4.5, B, 1, (B, B)),
 }
 
+# (tau, flux, positions by field count): one tensor is evaluated at each
+POINTS = (
+    (TAU, Z0, WS),
+    (ModularPoint(-0.3 + 0.7j), 0.1 + 0.05j,
+     {1: (0.4 + 0.5j,), 2: (-0.2 + 0.15j, 0.35 + 0.45j)}),
+    (ModularPoint(0.45 + 0.62j), -0.4 - 0.2j,
+     {1: (-0.1 + 0.05j,), 2: (0.3 + 0.2j, -0.45 + 0.52j)}),
+)
 
-@pytest.mark.parametrize("grading", ["plain", "super"])
+
+@pytest.mark.parametrize("grading", sorted(GRADINGS))
 @pytest.mark.parametrize("n", [0, 1, 2])
 @pytest.mark.parametrize("case", sorted(ZERO_CASES))
 def test_zero_mode_trace_matches_loop_reference(case, n, grading):
     spec, sector, cap, v, lam, states = ZERO_CASES[case]
     module = enumerate_basis(spec, sector, cap)
-    insertions = list(zip(states[:n], WS.get(n, ())))
-    tw = GRADINGS[grading]
-    want = zero_mode_trace_loop(module, v, lam, insertions, TAU, tw)
-    got = graded_trace(module, insertions, TAU, tw, zero_mode=(v, lam))
-    assert_close(got, want)
+    tensor = trace_tensor(module, states[:n], (v, lam))
+    for tau, z, ws in POINTS:
+        insertions = list(zip(states[:n], ws.get(n, ())))
+        tw = GRADINGS[grading]
+        if tw.flux_z is not None:
+            tw = replace(tw, flux_z=z)
+        want = zero_mode_trace_loop(module, v, lam, insertions, tau, tw)
+        assert_close(tensor.evaluate(tau, tw, [w for _, w in insertions]), want)
 
 
 def test_array_trace_keeps_typed_errors():
@@ -157,9 +176,9 @@ def test_array_trace_keeps_typed_errors():
         npoint_trace(heis, [(J, 0.2j), (J, 0.6j)], TAU, tw)
     # a zero mode foreign to the module raises although no path reaches it
     with pytest.raises(UnsupportedInsertion, match="fermionic mode"):
-        graded_trace(heis, [], TAU, tw, zero_mode=(B, 1))
+        trace_tensor(heis, (), (B, 1))
     with pytest.raises(UnsupportedInsertion, match="supported families"):
-        graded_trace(heis, [], TAU, tw, zero_mode=(UNSUPPORTED_PAIR, 0))
+        trace_tensor(heis, (), (UNSUPPORTED_PAIR, 0))
 
 
 def test_state_key_is_exact_past_64_bits():

@@ -76,9 +76,11 @@ def test_twisted_small_cases():
 
 @pytest.mark.parametrize("fn", [eisenstein_twisted, p1_twisted_series_coefficient])
 def test_twisted_power_overflow_is_domain_violation(fn):
-    # lam^62 passes the float range; an OverflowError here used to escape
-    with pytest.raises(DomainViolation, match="overflows the float range"):
-        fn(100, 1e5, HALF_I, TR)
+    # lam^62 passes the float range; an OverflowError here used to escape,
+    # for an integer lam from the exact power divided by j!
+    for lam in (1e5, 10**5):
+        with pytest.raises(DomainViolation, match="overflows the float range"):
+            fn(100, lam, HALF_I, TR)
 
 
 def test_twisted_shift_identity():

@@ -64,7 +64,7 @@ def test_checks_still_import_from_cli():
     from jrl import checks
     from jrl.cli import CHECKS
 
-    assert CHECKS is checks.CHECKS and len({c.name for c in CHECKS}) == len(CHECKS) == 21
+    assert CHECKS is checks.CHECKS and len({c.name for c in CHECKS}) == len(CHECKS) == 22
 
 
 def test_traced_eval_calls_each_kernel_once_per_entry(tmp_path, capsys):

@@ -18,6 +18,12 @@ compared with one `diff` of their files.  The battery runs the program in
 - the stage contributions of the four variants on every request of the
   perfbench `coboundary` pool, and the residuals of drawn `chain`,
   `rec1` and `zero_res` operations;
+- the zero-mode traces of the five tensor families of the perfbench
+  `coboundary` workload (the stage zero rows, `rec1.J` and `rec1.pair`
+  at beta 1 and 2) and of the zero-trace leaves of the
+  `tests/test_plans.py` families, at six drawn (tau, flux, positions)
+  each, once with a warm tensor cache and once cold, the cache cleared
+  before each call (a checkout without the cache computes both afresh);
 - the basis of every perfbench working module and of the modules of the
   `jrl.checks` partition and commutator checks: its dimension and the
   sha256 of the repr of its states and of its `FockArrays` keys, so the
@@ -42,9 +48,23 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
 from jrl.cli import ledger_to_json  # noqa: E402
-from jrl.reduction import reduce_full, reduction_family, stage_contributions  # noqa: E402
+from jrl.reduction import (  # noqa: E402
+    JacobiParams,
+    NPointRequest,
+    reduce_full,
+    reduction_family,
+    stage_contributions,
+)
+from jrl.reduction import steps  # noqa: E402
 from jrl.reduction.steps import VARIANTS  # noqa: E402
-from jrl.voa import AlgebraSpec, enumerate_basis, working_module  # noqa: E402
+from jrl.specfun import ModularPoint  # noqa: E402
+from jrl.voa import (  # noqa: E402
+    VACUUM,
+    AlgebraElement,
+    AlgebraSpec,
+    enumerate_basis,
+    working_module,
+)
 
 EVAL_SEEDS = (61, 62, 63, 64, 301)
 README_REQUEST = {
@@ -77,6 +97,23 @@ CHECK_MODULES = (
     (AlgebraSpec(kind="real_fermion", grading="natural"), (), 11.5),
     (AlgebraSpec(kind="complex_fermion", grading="charge_shifted"), (), 12),
     (AlgebraSpec(kind="heisenberg", rank=1), (0.3,), 6),
+)
+
+# (name, module (spec, sector, cap, headroom), supertrace, flux z = tau,
+# zero mode v, lam, field elements) of the zero-mode trace families
+_S = workloads.STATES
+_CF_PLANS = (workloads.CFERM, (), 2.0, 8)
+ZERO_TRACE_FAMILIES = (
+    ("stage", workloads.MODULES["cf.stage"], True, False, _S["Jbc"], 0, (_S["b"], _S["c"])),
+    ("rec1.J 1", workloads.MODULES["h1.rec"], False, False, _S["J"], 1, (_S["J"],)),
+    ("rec1.J 2", workloads.MODULES["h1.rec"], False, False, _S["J"], 2, (_S["J"],)),
+    ("rec1.pair 1", workloads.MODULES["h2s"], False, False, _S["a0a1"], 1, (_S["a0"],)),
+    ("rec1.pair 2", workloads.MODULES["h2s"], False, False, _S["a0a1"], 2, (_S["a0"],)),
+    ("plans shifted b", _CF_PLANS, True, True, _S["b"], 1, (_S["b"], _S["c"], _S["c"])),
+    ("plans shifted c.b1", _CF_PLANS, True, True, _S["c"], -1,
+     (_S["b"], AlgebraElement.from_state(VACUUM))),
+    ("plans shifted c.b", _CF_PLANS, True, True, _S["c"], -1, (_S["b"],)),
+    ("plans lattice_flux", (workloads.CFERM, (), 3.0, 8), True, True, _S["c"], -1, (_S["b"],)),
 )
 
 
@@ -140,6 +177,29 @@ def coboundary_battery(out) -> None:
             out.write(f"## coboundary {cls} {i}\n{cob.prepare(op)()!r}\n")
 
 
+def zero_mode_trace_battery(out) -> None:
+    cache = getattr(steps, "_cached_tensor", None)
+    rng = random.Random(7)
+    for name, module, supertrace, lattice, v, lam, fields in ZERO_TRACE_FAMILIES:
+        spec, sector, cap, headroom = module
+        reqs = []
+        for _ in range(6):
+            op = workloads.draw_request(rng, len(fields))
+            tau = workloads.l2c(op["tau"])
+            params = JacobiParams(z=tau if lattice else workloads.l2c(op["z"]),
+                                  tau=ModularPoint(tau), supertrace=supertrace)
+            ins = tuple(zip(fields, map(workloads.l2c, op["ws"])))
+            reqs.append(NPointRequest(spec=spec, sector=sector, cap=cap, headroom=headroom,
+                                      insertions=ins, params=params))
+        warm = [steps.zero_mode_trace(req, v, lam, req.insertions) for req in reqs]
+        cold = []
+        for req in reqs:
+            if cache is not None:
+                cache.cache_clear()
+            cold.append(steps.zero_mode_trace(req, v, lam, req.insertions))
+        out.write(f"## zero_mode_trace {name}\nwarm {warm!r}\ncold {cold!r}\n")
+
+
 def basis_battery(out) -> None:
     modules = [
         (f"perfbench {name}", working_module(*entry))
@@ -160,6 +220,7 @@ def main(argv: list[str]) -> int:
         cli_battery(out, Path(tmp))
         reduction_battery(out)
         coboundary_battery(out)
+        zero_mode_trace_battery(out)
         basis_battery(out)
     return 0
 
