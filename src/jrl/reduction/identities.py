@@ -12,12 +12,7 @@ from ..specfun.points import phase
 from ..voa.algebra import AlgebraElement
 from .coboundary import reduction_family, stage_contributions
 from .steps import bracket_images, reduce_full, with_slot, zero_mode_trace
-from .types import (
-    BranchSelector,
-    NPointRequest,
-    element_weight_charge,
-    npoint_oracle,
-)
+from .types import NPointRequest, element_weight_charge, npoint_oracle, select_branch
 
 
 def identity_v0_sum(req: NPointRequest, v: AlgebraElement) -> float:
@@ -25,29 +20,24 @@ def identity_v0_sum(req: NPointRequest, v: AlgebraElement) -> float:
     wt, _, par = element_weight_charge(req.spec, v)
     if abs(wt - round(wt.real)) > 1e-9 or abs(wt.imag) > 1e-9:
         raise NonIntegerWeight(f"v[0]-sum needs integer weight, got {wt}")
-    total, scale = _mode_sweep_sum(req, v, wt, par, 0.0, last=0)
+    total, scale = _mode_sweep_sum(req, v, wt, par, 0.0)
     return abs(total) / max(1.0, scale)
 
 
 def _mode_sweep_sum(
-    req: NPointRequest,
-    v: AlgebraElement,
-    wt: float,
-    par: int,
-    beta: float,
-    last: int | None = None,
+    req: NPointRequest, v: AlgebraElement, wt: float, par: int, beta: float
 ) -> tuple[complex, float]:
-    """sum_k sum_{m <= last} (+-) e(w_k beta) beta^m/m! Z((v[m].)_k ...), with
-    term scale; beta = 0 with last = 0 is the v[0] sum."""
+    """sum_k (+-) e(w_k beta) Z((v[0]_beta.)_k ...), with term scale.
+
+    v[0]_beta = sum_m beta^m/m! v[m], so this is the mode sweep
+    sum_k sum_m (+-) e(w_k beta) beta^m/m! Z((v[m].)_k ...) read from one
+    image and one trace per slot; beta = 0 is the v[0] sum."""
     vs = tuple(u for u, _ in req.insertions)
-    facs = [1.0 + 0.0j]  # beta^m / m!
     total = 0.0 + 0.0j
     scale = 0.0
-    for k, m, img, sign in bracket_images(req.spec, v, wt, par, vs, last=last):
-        while len(facs) <= m:
-            facs.append(facs[-1] * (beta / len(facs)))
+    for k, _, img, sign in bracket_images(req.spec, v, wt, par, vs, last=0, shift=beta):
         w_k = req.insertions[k - 1][1]
-        term = sign * phase(w_k * beta) * facs[m] * npoint_oracle(with_slot(req, k, img))
+        term = sign * phase(w_k * beta) * npoint_oracle(with_slot(req, k, img))
         total += term
         scale += abs(term)
     return total, scale
@@ -59,8 +49,9 @@ def identity_rec1(req: NPointRequest, v: AlgebraElement, beta: int) -> float:
     (1 - zeta^{-alpha} q^beta) Tr o_beta(v) Y(...) zeta^{J} q^{L}
       = sum_k sum_m e(w_k beta) beta^m/m! Z((v[m].)_k ...)
     """
-    if beta < 1:
+    if beta % 1 != 0 or beta < 1:
         raise NotOnLattice("recursion index beta must be a positive integer")
+    beta = int(beta)
     wt, ch, par = element_weight_charge(req.spec, v)
     factor = 1.0 - phase(-ch * complex(req.params.z) + beta * req.params.tau.tau)
     lhs = factor * zero_mode_trace(req, v, beta, req.insertions)
@@ -75,7 +66,7 @@ def identity_zero_res(req: NPointRequest, v: AlgebraElement) -> float:
     prefactor 1 - zeta^{-alpha} q^lambda vanishes, so the mode sweep on the
     right-hand side must sum to zero on its own."""
     wt, ch, par = element_weight_charge(req.spec, v)
-    branch = BranchSelector().classify(ch, complex(req.params.z), req.params.tau)
+    branch = select_branch(ch, complex(req.params.z), req.params.tau)
     if branch.kind != "lattice":
         raise NotOnLattice(f"alpha z = {ch * complex(req.params.z)} is not on the lattice")
     total, scale = _mode_sweep_sum(req, v, wt, par, float(branch.lam))

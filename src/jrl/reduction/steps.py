@@ -28,7 +28,10 @@ positions, each with its child request, and
 FunctionFamily.  `reduce_full` builds the whole tree of "simplest" tables
 once per request family, as a `ReductionPlan`, and evaluates it at each
 request's positions.  The negative-mode rule and the identity residuals
-sweep the same square-bracket images (`bracket_images`) and zero modes.
+read the same square-bracket images (`bracket_images`) and zero modes:
+the negative-mode rule sweeps v[m].x_k over m, the identities read one
+lattice-shifted image v[0]_beta.x_k per slot, and the "shifted" rows
+take v[m]_lam.x_k, all from the one `square_bracket_image`.
 Every zero-mode trace, the leaf of a zero row, is a cached `TraceTensor`
 evaluated at the positions (`zero_mode_trace`).
 Every kernel value comes from `specfun_kernel(*kernel_spec(...), tr)`.
@@ -48,11 +51,10 @@ from ..errors import (
 )
 from ..specfun.points import AnnulusPoint, TwistPair, phase
 from ..voa.algebra import VACUUM, AlgebraElement, AlgebraSpec, state_level
-from ..voa.squarebracket import last_mode, shifted_square_bracket_image, square_bracket_image
+from ..voa.squarebracket import last_mode, square_bracket_image
 from ..voa.trace import TraceTensor, partition_function, trace_tensor
 from .types import (
     Branch,
-    BranchSelector,
     CoefficientLedger,
     LedgerTerm,
     NPointRequest,
@@ -60,6 +62,7 @@ from .types import (
     element_weight_charge,
     homogeneous_parts,
     npoint_oracle,
+    select_branch,
     specfun_kernel,
     vacuum_module,
 )
@@ -92,7 +95,7 @@ class StepResult:
 def _select_branch(req: NPointRequest, alpha: float, integer_weight: bool) -> Branch | None:
     if not integer_weight:
         return None
-    return BranchSelector().classify(alpha, req.params.z, req.params.tau)
+    return select_branch(alpha, req.params.z, req.params.tau)
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +104,8 @@ def _select_branch(req: NPointRequest, alpha: float, integer_weight: bool) -> Br
 
 
 def _bracket_image(spec: AlgebraSpec, v: AlgebraElement, m: int, x: AlgebraElement, shift):
-    """v[m].x (shift None) or v[m]_shift.x on a vacuum module that holds x
-    and the image.
+    """v[m]_shift.x, which is v[m].x at shift 0, on a vacuum module that
+    holds x and the image.
 
     v(j) lowers the level by j - wt + 1 with j >= m, so the image lies at
     most wt - 1 - m levels above the top level of x; the cap covers that,
@@ -110,9 +113,7 @@ def _bracket_image(spec: AlgebraSpec, v: AlgebraElement, m: int, x: AlgebraEleme
     top = max((state_level(spec, s) for s in x.terms), default=0.0)
     wt = max((state_level(spec, s) for s in v.terms), default=0.0)
     vac = vacuum_module(spec, float(max(6, math.ceil(top + max(wt - 1 - m, 0)))))
-    if shift is None:
-        return square_bracket_image(vac, v, m, x)
-    return shifted_square_bracket_image(vac, v, m, shift, x)
+    return square_bracket_image(vac, v, m, x, shift)
 
 
 def bracket_images(
@@ -123,16 +124,17 @@ def bracket_images(
     elements: tuple[AlgebraElement, ...],
     first: int = 0,
     last: int | None = None,
-    shift: int | None = None,
+    shift: float = 0,
     strict: bool = False,
 ):
-    """Yield (k, m, v[m].x_k, sign) for every nonzero image, k from 1 and m rising.
+    """Yield (k, m, v[m]_shift.x_k, sign) for every nonzero image, k from 1
+    and m rising; at shift 0 the images are v[m].x_k.
 
     m runs from `first` to `last`, by default to `last_mode(spec, wt, x_k)`,
-    past which v[m] annihilates x_k; with `shift` the lattice-shifted modes
-    v[m]_shift are used.  sign = (-1)^{par (p(x_1) + ... + p(x_{k-1}))}.
-    The parity of x_k is read after its images when a later sign needs it,
-    and always when `strict`, so that a zero or inhomogeneous x_k raises."""
+    past which v[m]_shift annihilates x_k.
+    sign = (-1)^{par (p(x_1) + ... + p(x_{k-1}))}.  The parity of x_k is
+    read after its images when a later sign needs it, and always when
+    `strict`, so that a zero or inhomogeneous x_k raises."""
     prefix = 0
     for k, x in enumerate(elements, start=1):
         sign = -1.0 if par and prefix % 2 else 1.0
@@ -329,7 +331,7 @@ def stage_table(variant: str, context: NPointRequest, vs: tuple, ws: tuple | Non
     if variant == "shifted":
         shift, k_branch, k_twist = (branch.lam if branch is not None else 0), None, None
     else:
-        shift, k_branch, k_twist = None, branch, twist
+        shift, k_branch, k_twist = 0, branch, twist
     az = ch_d * complex(context.params.z)
     images = bracket_images(spec, v_d, wt_d, par_d, base_vs, shift=shift, strict=True)
     for k, m, img, sign in images:

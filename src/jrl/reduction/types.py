@@ -57,34 +57,32 @@ class Branch:
     mu: int = 0
 
 
-@dataclass(frozen=True)
-class BranchSelector:
+LATTICE_TOL = 1e-9
+SUSPICION_BAND = 1e-5
+
+
+def select_branch(alpha: float, z: complex, tau: ModularPoint) -> Branch:
     """Classify the flux alpha*z of a distinguished insertion.
 
     Writing alpha z = lam tau + mu in lattice coordinates, a distance to
-    the nearest integer pair at most tol_lattice selects the lattice
-    branch.  Distances inside the wider suspicion band are rejected with
+    the nearest integer pair at most LATTICE_TOL selects the lattice
+    branch.  Distances inside the wider SUSPICION_BAND are rejected with
     BranchUnresolved rather than guessed; beyond the band the generic
     branch applies."""
-
-    tol_lattice: float = 1e-9
-    band: float = 1e-5
-
-    def classify(self, alpha: float, z: complex, tau: ModularPoint) -> Branch:
-        az = alpha * complex(z)
-        t = tau.tau
-        lam_f = az.imag / t.imag
-        mu_f = az.real - lam_f * t.real
-        lam_r = round(lam_f)
-        mu_r = round(mu_f)
-        d = math.hypot(lam_f - lam_r, mu_f - mu_r)
-        if d <= self.tol_lattice:
-            return Branch(kind="lattice", lam=lam_r, mu=mu_r)
-        if d <= self.band:
-            raise BranchUnresolved(
-                f"flux {az} sits {d:.2e} from the lattice, inside the suspicion band"
-            )
-        return Branch(kind="generic")
+    az = alpha * complex(z)
+    t = tau.tau
+    lam_f = az.imag / t.imag
+    mu_f = az.real - lam_f * t.real
+    lam_r = round(lam_f)
+    mu_r = round(mu_f)
+    d = math.hypot(lam_f - lam_r, mu_f - mu_r)
+    if d <= LATTICE_TOL:
+        return Branch(kind="lattice", lam=lam_r, mu=mu_r)
+    if d <= SUSPICION_BAND:
+        raise BranchUnresolved(
+            f"flux {az} sits {d:.2e} from the lattice, inside the suspicion band"
+        )
+    return Branch(kind="generic")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ from .algebra import (
 )
 from .squarebracket import (
     kappa,
-    shifted_square_bracket_image,
     square_bracket_image,
 )
 from .trace import (
@@ -55,7 +54,6 @@ __all__ = [
     "oscillator_state",
     "partition_function",
     "sector_weight",
-    "shifted_square_bracket_image",
     "square_bracket_image",
     "state_charge",
     "state_level",

@@ -9,9 +9,10 @@ so v[m] = v(m) + (higher round modes).  v(j) = o_{j-h+1}(v) lowers the
 level by j - h + 1, so on a fixed target the j-sum ends at `last_mode`,
 the target's top level plus h - 1.
 
-The lattice-shifted variant regrades by a multiple of the charge; its
-modes are v[n]_h = sum_{m >= 0} (lam^m / m!) v[n + m], again finite on
-any fixed target.
+The lattice-shifted modes v[m]_lam = sum_{i >= 0} (lam^i / i!) v[m + i]
+are the same sum over round modes with the coefficients
+sum_{i <= j - m} (lam^i / i!) kappa(h, m + i, j); `square_bracket_image`
+takes lam as its shift and applies each round mode once.
 """
 
 from __future__ import annotations
@@ -54,39 +55,26 @@ def last_mode(spec: AlgebraSpec, h: float, x: AlgebraElement) -> int:
 
 
 def square_bracket_image(
-    module: ModuleSpace, v: AlgebraElement, m: int, target: AlgebraElement
+    module: ModuleSpace, v: AlgebraElement, m: int, target: AlgebraElement, shift: float = 0
 ) -> AlgebraElement:
-    """v[m] . target, summing kappa(h, m, j) v(j) . target over the
-    components of v, h the weight of each, with v(j) = o_{j-h+1}(v)."""
+    """v[m]_shift . target = sum_{i >= 0} (shift^i / i!) v[m + i] . target,
+    which is v[m] . target at shift 0.
+
+    Each round mode v(j) = o_{j-h+1}(v) of a component of v, h its weight,
+    is applied once, with the coefficient sum_{i=0}^{j-m} w_i kappa(h, m + i, j).
+    The weights w_i = shift^i / i! are a running product that stops at its
+    first zero, and zero weights are skipped, so shift 0 reads one kappa
+    per round mode."""
+    weights = [1.0]
     out = AlgebraElement.zero()
     for state, cv in sorted(v.terms.items()):
         h = module.level(state)
         single = AlgebraElement.from_state(state)
         for j in range(m, last_mode(module.spec, h, target) + 1):
-            kc = kappa(h, m, j)
-            if kc != 0.0:
+            while len(weights) <= j - m and weights[-1] != 0.0:
+                weights.append(weights[-1] * shift / len(weights))
+            c = sum(w * kappa(h, m + i, j) for i, w in enumerate(weights[: j - m + 1]) if w)
+            if c != 0.0:
                 term = zero_mode_operator(module, single, j - h + 1)(target)
-                out = out.plus(term.scaled(cv * kc))
-    return out
-
-
-def shifted_square_bracket_image(
-    module: ModuleSpace,
-    v: AlgebraElement,
-    n: int,
-    lam: float,
-    target: AlgebraElement,
-) -> AlgebraElement:
-    """v[n]_h . target = sum_{m >= 0} (lam^m / m!) v[n + m] . target.
-
-    The sum terminates where n + m passes `last_mode` of the heaviest
-    component of v.
-    """
-    out = AlgebraElement.zero()
-    h = max((module.level(s) for s in v.terms), default=0.0)
-    coeff = 1.0
-    for m in range(0, last_mode(module.spec, h, target) - n + 1):
-        if coeff != 0.0:
-            out = out.plus(square_bracket_image(module, v, n + m, target).scaled(coeff))
-        coeff = coeff * lam / (m + 1)
+                out = out.plus(term.scaled(cv * c))
     return out

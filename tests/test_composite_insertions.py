@@ -36,7 +36,6 @@ from jrl.voa import (
     enumerate_basis,
     kappa,
     oscillator_state,
-    shifted_square_bracket_image,
     square_bracket_image,
     state_level,
 )
@@ -263,15 +262,23 @@ def test_square_bracket_images_stop_at_the_target_level(kind):
             # v[m] lowers the level by m - h + 1; nothing lies below level 0
             last = math.floor(max(state_level(spec, s) for s in x.terms) + h - 1)
             images = round_images(module, v, x)
-            for m in range(-1, last + 3):
+            wants = {m: bracket_reference(module, v, m, images) for m in range(-1, last + 3)}
+            for m, want in wants.items():
                 got = square_bracket_image(module, v, m, x)
-                want = bracket_reference(module, v, m, images)
+                assert square_bracket_image(module, v, m, x, 0.0) == got
                 if m > last:
                     assert got.is_zero() and want.norm1() < 1e-12
                 else:
                     assert got.plus(want.scaled(-1.0)).norm1() <= 1e-12 * max(1.0, want.norm1())
+                # v[m]_s = sum_i s^i/i! v[m + i]
+                for s in (0.7, -1.0, 2.0):
+                    got = square_bracket_image(module, v, m, x, s)
+                    want = AlgebraElement.zero()
+                    for i in range(last + 3 - m):
+                        want = want.plus(wants[m + i].scaled(s**i / math.factorial(i)))
+                    assert got.plus(want.scaled(-1.0)).norm1() <= 1e-12 * max(1.0, want.norm1())
             # the shifted images sum the same zero tail
-            assert shifted_square_bracket_image(module, v, last + 1, 0.7, x).is_zero()
+            assert square_bracket_image(module, v, last + 1, x, 0.7).is_zero()
 
 
 @pytest.mark.parametrize(

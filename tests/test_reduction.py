@@ -35,7 +35,9 @@ from jrl.reduction import (
     reduce_step,
     specfun_kernel,
 )
-from jrl.reduction.steps import bracket_images
+from jrl.reduction.identities import _mode_sweep_sum
+from jrl.reduction.steps import bracket_images, with_slot
+from jrl.specfun.points import phase
 
 TAU = ModularPoint(0.5j)
 Z0 = 0.23 - 0.11j
@@ -234,6 +236,36 @@ def test_rec1_rejects_non_positive_mode():
     req = heis_request(n=1)
     with pytest.raises(NotOnLattice):
         identity_rec1(req, current_state(HEIS), 0)
+
+
+def test_rec1_rejects_non_integer_mode():
+    req = heis_request(n=1)
+    for beta in (1.5, 0.5, float("nan")):
+        with pytest.raises(NotOnLattice):
+            identity_rec1(req, current_state(HEIS), beta)
+
+
+def test_rec1_reads_the_shifted_image_of_the_mode_sweep():
+    # over the slots (J, a(-2)) the images a(-2)[m].x_k have nonzero traces
+    # at two values of m in each slot; the one shifted image v[0]_beta per
+    # slot sums the whole sweep
+    a2 = oscillator_state("a", 2)
+    req = heis_request(n=2)
+    req = req.with_insertions((req.insertions[0], (a2, req.insertions[1][1])))
+    for beta in (1, 2):
+        want = 0.0 + 0.0j
+        traced = set()
+        vs = tuple(u for u, _ in req.insertions)
+        for k, m, img, sign in bracket_images(HEIS, a2, 2.0, 0, vs):
+            w_k = req.insertions[k - 1][1]
+            value = npoint_oracle(with_slot(req, k, img))
+            if abs(value) > 1e-12:
+                traced.add((k, m))
+            want += sign * phase(w_k * beta) * beta**m / math.factorial(m) * value
+        assert traced == {(1, 1), (1, 2), (2, 1), (2, 3)}
+        got, _ = _mode_sweep_sum(req, a2, 2.0, 0, float(beta))
+        assert abs(got - want) <= 1e-13 * abs(want)
+        assert identity_rec1(req, a2, beta) <= 1e-10
 
 
 def test_zero_res_on_lattice():

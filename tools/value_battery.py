@@ -18,6 +18,11 @@ compared with one `diff` of their files.  The battery runs the program in
 - the stage contributions of the four variants on every request of the
   perfbench `coboundary` pool, and the residuals of drawn `chain`,
   `rec1` and `zero_res` operations;
+- the "shifted" stage contributions on the complex fermion at the
+  lattice fluxes z = tau, tau + 1 and -tau (shift lam = +-1), on the
+  reduction and on the oracle, and the `rec1` and `zero_res` residuals of
+  a(-2) over the slots (J, a(-2)), whose mode sweeps have two nonzero
+  traces per slot;
 - the zero-mode traces of the five tensor families of the perfbench
   `coboundary` workload (the stage zero rows, `rec1.J` and `rec1.pair`
   at beta 1 and 2) and of the zero-trace leaves of the
@@ -51,6 +56,9 @@ from jrl.cli import ledger_to_json  # noqa: E402
 from jrl.reduction import (  # noqa: E402
     JacobiParams,
     NPointRequest,
+    identity_rec1,
+    identity_zero_res,
+    oracle_family,
     reduce_full,
     reduction_family,
     stage_contributions,
@@ -62,7 +70,9 @@ from jrl.voa import (  # noqa: E402
     VACUUM,
     AlgebraElement,
     AlgebraSpec,
+    current_state,
     enumerate_basis,
+    oscillator_state,
     working_module,
 )
 
@@ -177,6 +187,34 @@ def coboundary_battery(out) -> None:
             out.write(f"## coboundary {cls} {i}\n{cob.prepare(op)()!r}\n")
 
 
+SHIFT_TAU = ModularPoint(0.2 + 0.8j)
+SHIFT_WS = (0.1j, 0.2 + 0.3j, 0.45 + 0.45j, 0.6j)
+HEIS1 = AlgebraSpec(kind="heisenberg", rank=1)
+
+
+def shifted_battery(out) -> None:
+    b, c = _S["b"], _S["c"]
+    for z in (SHIFT_TAU.tau, SHIFT_TAU.tau + 1, -SHIFT_TAU.tau):
+        params = JacobiParams(z=z, tau=SHIFT_TAU, supertrace=True)
+        for vs in ((b, c), (c, b), (b, c, c, b)):
+            ws = SHIFT_WS[-len(vs):]
+            base = NPointRequest(spec=workloads.CFERM, sector=(), cap=2.0, headroom=8,
+                                 insertions=tuple(zip(vs[:-1], ws)), params=params)
+            names = "".join("b" if v is b else "c" for v in vs)
+            for fam, family in (("reduction", reduction_family), ("oracle", oracle_family)):
+                contribs = stage_contributions("shifted", base, family(base), vs, ws)
+                values = [x.value for x in contribs]
+                out.write(f"## shifted stage z {z!r} {names} {fam}\n")
+                out.write(f"{values!r}\n{sum(values)!r}\n")
+    a2 = oscillator_state("a", 2)
+    req = NPointRequest(spec=HEIS1, sector=(0.6,), cap=8.0,
+                        insertions=((current_state(HEIS1), 0.12j), (a2, 0.31j)),
+                        params=JacobiParams(z=0.23 - 0.11j, tau=ModularPoint(0.5j)))
+    for beta in (1, 2):
+        out.write(f"## rec1 a(-2) beta {beta}\n{identity_rec1(req, a2, beta)!r}\n")
+    out.write(f"## zero_res a(-2)\n{identity_zero_res(req, a2)!r}\n")
+
+
 def zero_mode_trace_battery(out) -> None:
     cache = getattr(steps, "_cached_tensor", None)
     rng = random.Random(7)
@@ -220,6 +258,7 @@ def main(argv: list[str]) -> int:
         cli_battery(out, Path(tmp))
         reduction_battery(out)
         coboundary_battery(out)
+        shifted_battery(out)
         zero_mode_trace_battery(out)
         basis_battery(out)
     return 0
