@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from typing import Callable
 
 from ..errors import DomainViolation, PoleAtTrivialZ
 from .points import ModularPoint, Truncation, check_order, phase
@@ -37,13 +38,15 @@ def _times_int(n: int, c: complex) -> complex:
         raise DomainViolation("an Eisenstein series term overflows the float range") from None
 
 
-def _power_term(x: float, j: int) -> float:
-    """x**j / j!, or DomainViolation where it passes the float range.  An
-    integer x keeps its exact power, so the quotient is rounded once."""
+def _lam_convolution(x: float, k: int, e: Callable[[int], complex]) -> complex:
+    """sum_{j=0}^{k} (x^j / j!) e(k - j), or DomainViolation where a power
+    passes the float range.  An integer x keeps its exact power, so each
+    quotient x^j / j! is rounded once."""
     try:
-        return x**j / math.factorial(j)
+        powers = [x**j / math.factorial(j) for j in range(k + 1)]
     except OverflowError:
-        raise DomainViolation(f"lam^{j} overflows the float range at lam = {x}") from None
+        raise DomainViolation(f"lam^j overflows the float range at lam = {x}") from None
+    return stable_sum(c * e(k - j) for j, c in enumerate(powers))
 
 
 def _finite(value: complex, k: int, tr: Truncation) -> complex:
@@ -82,9 +85,7 @@ def eisenstein_twisted(k: int, lam: float, tau: ModularPoint, tr: Truncation) ->
     if k < 0:
         raise DomainViolation("index must be nonnegative")
     check_order(k, "Eisenstein index")
-    return stable_sum(
-        _power_term(lam, j) * eisenstein(k - j, tau, tr) for j in range(k + 1)
-    )
+    return _lam_convolution(lam, k, lambda j: eisenstein(j, tau, tr))
 
 
 def p1_twisted_series_coefficient(k: int, lam: float, tau: ModularPoint, tr: Truncation) -> complex:
@@ -104,15 +105,7 @@ def p1_twisted_series_coefficient(k: int, lam: float, tau: ModularPoint, tr: Tru
     if k < 1:
         raise DomainViolation("coefficient index starts at 1")
     check_order(k, "coefficient index")
-
-    def estar(j: int) -> complex:
-        if j == 1:
-            return complex(-0.5)
-        return eisenstein(j, tau, tr)
-
-    return stable_sum(
-        _power_term(-lam, j) * estar(k - j) for j in range(k + 1)
-    )
+    return _lam_convolution(-lam, k, lambda j: complex(-0.5) if j == 1 else eisenstein(j, tau, tr))
 
 
 def eisenstein_tilde(k: int, z: complex, tau: ModularPoint, tr: Truncation) -> complex:

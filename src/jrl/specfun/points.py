@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 from ..errors import DomainViolation
@@ -41,10 +42,14 @@ def phase(x: complex) -> complex:
     """exp(2 pi i x), with Re(x) reduced mod 1 first.
 
     The reduction makes integer shifts of x exact: phase(x + 1) and
-    phase(x) are the same float, not merely close.
+    phase(x) are the same float, not merely close.  An overflow raises
+    DomainViolation.
     """
     x = complex(x)
-    return cmath.exp(TWO_PI_I * complex(x.real % 1.0, x.imag))
+    try:
+        return cmath.exp(TWO_PI_I * complex(x.real % 1.0, x.imag))
+    except OverflowError:
+        raise DomainViolation(f"exp(2 pi i x) passes the float range at x = {x}") from None
 
 
 @dataclass(frozen=True)
@@ -54,8 +59,9 @@ class ModularPoint:
     tau: complex
 
     def __post_init__(self):
-        if not self.tau.imag > 0.0:
-            raise DomainViolation(f"tau must have positive imaginary part, got {self.tau}")
+        # 1 - |q| must not round to 0, and q must have finite inverse powers
+        if not (self.tau.imag > 0.0 and sys.float_info.min <= self.q_abs < 1.0):
+            raise DomainViolation(f"tau needs |q| a normal float below 1, got tau = {self.tau}")
 
     @property
     def q(self) -> complex:

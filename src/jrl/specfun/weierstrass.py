@@ -1,23 +1,24 @@
 """Elliptic kernel functions on the annulus 0 < Im w < Im tau.
 
 All four kernels are one mode sum, the deformed kernel P_m[theta; phi] of
-Mason-Tuite-Zuevsky (CMP 283 (2008) 305):
+Mason-Tuite-Zuevsky (CMP 283 (2008) 305) with an integer index shift:
 
-    ((-1)^m/(m-1)!) sum'_{n in Z + lam} n^{m-1} q_w^n / (1 - u q^{n+e}),
+    ((-1)^m/(m-1)!) q_w^{-shift} sum'_{n in Z + lam} (n - shift)^{m-1} q_w^n / (1 - u q^n),
 
 evaluated by ``_mode_sum``.  The public names pick its parameters:
 
-    kernel              u           e     lam          omitted n
-    weier_p             1           0     0            0 (and -1/2 added at m = 1)
-    weier_p_twisted     1           lam   0            -lam
-    weier_p_tilde       q_z         0     0            none
-    weier_p_deformed    theta^{-1}  0     twist.lam    0, only when (theta, phi) = (1, 1)
+    kernel              u           lam          shift   omitted n
+    weier_p             1           0            0       0 (and -1/2 added at m = 1)
+    weier_p_twisted     1           0            lam     0
+    weier_p_tilde       q_z         0            0       none
+    weier_p_deformed    theta^{-1}  twist.lam    0       0, only when (theta, phi) = (1, 1)
 
-The mode index j = n - lam runs from -n_mode to n_mode, and the terms
-are summed exactly rounded (`stable_sum`).  A term whose q-exponent
-s = n + e is negative is rewritten through
+The twisted row is P_{m,lam} after n -> n - lam, so its denominators are
+untwisted and q_w^{-lam} is its size.  The mode index j = n - lam runs
+from -n_mode to n_mode, and the terms are summed exactly rounded
+(`stable_sum`).  A term with n < 0 is rewritten through
 
-    1/(1 - u q^s) = -r / (1 - r),        r = q^{-s} / u,
+    1/(1 - u q^n) = -r / (1 - r),        r = q^{-n} / u,
 
 so every retained term decays geometrically; every retained denominator
 is checked against tr.tol and raises PoleHit when it vanishes.
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 import numpy as np
 
@@ -47,59 +49,54 @@ def _mode_sum(
     p: AnnulusPoint,
     tr: Truncation,
     u: complex = 1.0,
-    e: int = 0,
     lam: float = 0.0,
-    omit: float | None = None,
+    shift: int = 0,
+    omit_zero: bool = True,
 ) -> complex:
-    """((-1)^m/(m-1)!) sum_{n in Z + lam, n != omit} n^{m-1} q_w^n / (1 - u q^{n+e})."""
+    """((-1)^m/(m-1)!) q_w^{-shift} sum_{n in Z + lam} (n - shift)^{m-1} q_w^n / (1 - u q^n),
+    without the term n = 0 when omit_zero."""
     if m < 1:
         raise DomainViolation(f"kernel order must be >= 1, got {m}")
     check_order(m, "kernel order")
     j = np.arange(-tr.n_mode, tr.n_mode + 1, dtype=float)
     n = j + lam
-    # n^{m-1} vanishes at n = 0 for m >= 2: drop that term with the omitted one
-    keep = (n != 0.0) | (m == 1)
-    if omit is not None:
-        keep &= n != omit
-    j, n = j[keep], n[keep]
-    s = n + e
-    pos = s >= 0.0
+    # without a shift the weight vanishes at n = 0 for m >= 2: drop that term
+    if omit_zero or (m > 1 and not shift):
+        j, n = j[n != 0.0], n[n != 0.0]
+    pos = n >= 0.0
     q = p.tau.q
     q_w = phase(p.w)
     # q ** x takes the principal branch, e(tau' x) with tau' = tau - k and
     # Re tau' in (-1/2, 1/2]; e(k x) restores e(tau x) for fractional x,
-    # which s holds only for fractional lam
+    # which n holds only for fractional lam
     k = round(p.tau.tau.real - cmath.phase(q) / (2.0 * math.pi)) if lam % 1 else 0
-    q_s = q ** np.abs(s)
-    try:
-        q_lift = q ** (-lam - e)
-    except OverflowError:
-        raise DomainViolation(f"q^{-lam - e:g} overflows the float range") from None
+    q_n = q ** np.abs(n)
+    q_lift = q**-lam  # finite: lam lies in [0, 1) and q is a normal float
     if k:
-        q_s = q_s * np.exp(TWO_PI_I * ((k * np.abs(s)) % 1.0))
-        q_lift *= phase(k * (-lam - e))
-    # 1/(1 - u q^s) = -r/(1 - r) with r = q^{-s}/u when s < 0
-    r = q_s * np.where(pos, u, 1.0 / u)
-    den = 1.0 - r
+        q_n = q_n * np.exp(TWO_PI_I * ((k * np.abs(n)) % 1.0))
+        q_lift *= phase(k * -lam)
+    # 1/(1 - u q^n) = -r/(1 - r) with r = q^{-n}/u when n < 0
+    den = 1.0 - q_n * np.where(pos, u, 1.0 / u)
     hit = np.abs(den) <= tr.tol
     if hit.any():
-        raise PoleHit(f"1 - u q^{s[hit][0]:g} vanished within tolerance (u = {u})")
-    # q_w^n (s >= 0) and -q_w^n r (s < 0) as e^{2 pi i lam w} times an
-    # integer power of q_w or q/q_w, bases of modulus below 1, so nothing
-    # overflows; the powers of q_w = phase(w) are exactly 1-periodic in w
+        raise PoleHit(f"1 - u q^{n[hit][0]:g} vanished within tolerance (u = {u})")
+    # q_w^n (n >= 0) and -q_w^n r (n < 0) as e^{2 pi i lam w} times an
+    # integer power of q_w or q/q_w, bases of modulus below 1; the powers
+    # of q_w = phase(w) are exactly 1-periodic in w.  The one large factor
+    # is the scalar q_w^{-shift}, the size of the twisted kernel
     base = np.where(pos, q_w, q / q_w) ** np.where(pos, j, -j)
     num = base * np.where(pos, 1.0, -q_lift / u)
+    lift = cmath.exp(TWO_PI_I * lam * p.w) * phase(-shift * p.w)
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = n ** (m - 1) * cmath.exp(TWO_PI_I * lam * p.w) * num / den
+        terms = (n - shift) ** (m - 1) * lift * num / den
     if not np.isfinite(terms).all():
         raise DomainViolation(f"kernel terms overflow at order {m} and n_mode {tr.n_mode}")
-    sign = -1.0 if m % 2 else 1.0
-    return sign / math.factorial(m - 1) * stable_sum(terms)
+    return (-1.0) ** m / math.factorial(m - 1) * stable_sum(terms)
 
 
 def weier_p(m: int, p: AnnulusPoint, tr: Truncation) -> complex:
     """P_m(w, tau) on the annulus."""
-    out = _mode_sum(m, p, tr, omit=0.0)
+    out = _mode_sum(m, p, tr)
     return out - 0.5 if m == 1 else out
 
 
@@ -107,12 +104,15 @@ def weier_p_twisted(m: int, lam: int, p: AnnulusPoint, tr: Truncation) -> comple
     """P_{m,lam}(w, tau) = ((-1)^m/(m-1)!) sum_{n != -lam} n^{m-1} q_w^n / (1 - q^{n+lam})."""
     if lam != int(lam):
         raise DomainViolation("twisted kernel requires an integer lattice parameter")
-    return _mode_sum(m, p, tr, e=int(lam), omit=-int(lam))
+    return _mode_sum(m, p, tr, shift=int(lam))
 
 
 def weier_p_tilde(m: int, p: AnnulusPoint, z: complex, tr: Truncation) -> complex:
     """Ptilde_m(w, z, tau) = ((-1)^m/(m-1)!) sum_{n in Z} n^{m-1} q_w^n / (1 - q_z q^n)."""
-    return _mode_sum(m, p, tr, u=phase(z))
+    q_z = phase(z)
+    if abs(q_z) < sys.float_info.min:
+        raise DomainViolation(f"q_z = e(z) is zero or subnormal at z = {z}")
+    return _mode_sum(m, p, tr, u=q_z, omit_zero=False)
 
 
 def weier_p_deformed(k: int, twist: TwistPair, p: AnnulusPoint, tr: Truncation) -> complex:
@@ -122,5 +122,4 @@ def weier_p_deformed(k: int, twist: TwistPair, p: AnnulusPoint, tr: Truncation) 
 
     where the primed sum omits n = 0 exactly when (theta, phi) = (1, 1).
     """
-    omit = 0.0 if twist.is_trivial else None
-    return _mode_sum(k, p, tr, u=1.0 / twist.theta, lam=twist.lam, omit=omit)
+    return _mode_sum(k, p, tr, u=1.0 / twist.theta, lam=twist.lam, omit_zero=twist.is_trivial)

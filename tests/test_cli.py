@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from jrl.specfun.points import MAX_ORDER
+from jrl.specfun import AnnulusPoint, ModularPoint, Truncation, weier_p
+from jrl.specfun.points import MAX_ORDER, phase
 
 BASE_REQUEST = {
     "schema": 1,
@@ -352,16 +353,27 @@ def test_missing_request_file_exits_two(tmp_path):
         ("--fn", "E", "--k", str(MAX_ORDER), "--tau", "0.01i", "--nq", "512"),
         ("--fn", "laurentP", "--kind", "plain", "--k", "4", "--tau", "6i", "--nq", "512"),
         ("--fn", "laurentP", "--kind", "tilde", "--z", "0.5i", "--k", "2", "--tau", "0.5i"),
-        # lam^j and q^(-lam) pass the float range; these exited 3 with an
-        # OverflowError reported as internal_error
+        # lam^j and q_w^(-lam) pass the float range: a typed refusal, never
+        # an OverflowError reported as internal_error
         ("--fn", "Etwist", "--k", "100", "--lambda", "1e5", "--tau", "0.5i"),
-        ("--fn", "Ptwist", "--m", "1", "--lambda", "300", "--w", "0.1+0.2i", "--tau", "0.5i"),
+        ("--fn", "Ptwist", "--m", "1", "--lambda", "2000", "--w", "0.1+0.2i", "--tau", "0.5i"),
+        # |q| rounds to 1 or q underflows, and q_z underflows or overflows;
+        # these must not reach a division by zero or an OverflowError
+        ("--fn", "E", "--k", "4", "--tau", "1e-20i"),
+        ("--fn", "P", "--m", "2", "--w", "0.1+1e-21i", "--tau", "1e-20i"),
+        ("--fn", "Pdef", "--k", "2", "--theta", "0.6+0.8i", "--phi", "-1", "--w", "0.1+100i",
+         "--tau", "200i"),
+        ("--fn", "E", "--k", "4", "--tau", "200i"),
+        ("--fn", "Ptilde", "--m", "2", "--z", "400i", "--w", "0.1+0.2i", "--tau", "0.5i"),
+        ("--fn", "Ptilde", "--m", "2", "--z=-400i", "--w", "0.1+0.2i", "--tau", "0.5i"),
     ],
     ids=[
         "P_order_zero", "laurent_order_13", "E_negative_index", "B_negative_index", "P_overflow",
         "E_past_max_order", "P_past_max_order", "B_past_max_order", "E_terms_overflow",
         "laurent_strip_overflow", "laurent_flux_off_strip", "Etwist_power_overflow",
-        "Ptwist_power_overflow",
+        "Ptwist_power_overflow", "E_nome_rounds_to_one", "P_nome_rounds_to_one",
+        "Pdef_nome_underflow", "E_nome_underflow", "Ptilde_flux_underflow",
+        "Ptilde_flux_overflow",
     ],
 )
 def test_eval_out_of_domain_is_typed_error(args):
@@ -369,6 +381,18 @@ def test_eval_out_of_domain_is_typed_error(args):
     assert r.returncode == 2, r.stdout + r.stderr
     assert "Traceback" not in r.stderr
     assert json.loads(r.stdout)["error"]["type"] == "DomainViolation"
+
+
+def test_eval_twisted_kernel_past_the_power_of_q():
+    # q^-300 alone passes the float range, but after the shift n -> n - lam
+    # the one large factor is q_w^-300, the size of the value
+    r = run_cli("eval", "--fn", "Ptwist", "--m", "1", "--lambda", "300", "--w", "0.1+0.2i",
+                "--tau", "0.5i")
+    assert r.returncode == 0, r.stdout + r.stderr
+    got = complex(*json.loads(r.stdout)["checks"][0]["value"])
+    p = AnnulusPoint(0.1 + 0.2j, ModularPoint(0.5j))
+    want = phase(-300 * p.w) * (weier_p(1, p, Truncation()) + 0.5)
+    assert abs(got - want) <= 1e-13 * abs(want)
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from jrl.errors import DomainViolation, PoleHit
@@ -24,7 +26,7 @@ from jrl.specfun import (
     weier_p_tilde,
     weier_p_twisted,
 )
-from jrl.specfun.points import MAX_NMODE, MAX_NQ, MAX_ORDER
+from jrl.specfun.points import MAX_NMODE, MAX_NQ, MAX_ORDER, phase
 from jrl.specfun.series import bernoulli
 
 TR = Truncation(n_q=48, n_mode=96, tol=1e-14)
@@ -142,6 +144,39 @@ def test_kernels_match_reference_mode_sum(m, point, tr):
     for got, kw in cases:
         want = reference_mode_sum(m, point, tr, **kw)
         assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), kw
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("lam", [-60, 60, 64, 70])
+def test_twisted_kernel_at_large_lam_matches_a_converged_reference(m, lam):
+    # the dominant terms of P_{m,lam} sit at n near -lam; a window of
+    # n_mode + |lam| + 40 around n = 0 holds them and a converged tail
+    p, tr = pt(0.1 + 0.2j), Truncation()
+    wide = replace(tr, n_mode=tr.n_mode + abs(lam) + 40)
+    want = reference_mode_sum(m, p, wide, e=lam, omit=-lam)
+    assert abs(weier_p_twisted(m, lam, p, tr) - want) <= 1e-13 * abs(want)
+
+
+@given(
+    m=st.integers(1, 5),
+    lam=st.integers(-70, 70),
+    tau=st.tuples(st.floats(-0.5, 0.5), st.floats(0.3, 1.2)),
+    w=st.tuples(st.floats(-0.5, 0.5), st.floats(0.05, 0.95)),
+)
+@settings(max_examples=80, deadline=None)
+def test_twisted_kernel_is_the_binomial_combination_of_plain_orders(m, lam, tau, w):
+    # n -> n - lam and the binomial expansion of (n - lam)^{m-1} give
+    # P_{m,lam} = q_w^{-lam} sum_{j<m} (lam^j/j!) Phat_{m-j}, with
+    # Phat_1 = P_1 + 1/2 and Phat_k = P_k otherwise
+    p = AnnulusPoint(complex(w[0], w[1] * tau[1]), ModularPoint(complex(*tau)))
+    tr = Truncation()
+    terms = [
+        lam**j / math.factorial(j) * (weier_p(m - j, p, tr) + (0.5 if j == m - 1 else 0.0))
+        for j in range(m)
+    ]
+    lift = phase(-lam * p.w)
+    scale = abs(lift) * sum(map(abs, terms))
+    assert abs(weier_p_twisted(m, lam, p, tr) - lift * sum(terms)) <= 1e-13 * scale
 
 
 def test_truncation_orders_are_capped():

@@ -32,7 +32,10 @@ compared with one `diff` of their files.  The battery runs the program in
 - the basis of every perfbench working module and of the modules of the
   `jrl.checks` partition and commutator checks: its dimension and the
   sha256 of the repr of its states and of its `FockArrays` keys, so the
-  diff shows a change of the module order.
+  diff shows a change of the module order;
+- the twisted kernels P_{m,lam} at m = 1..5, lam in {-70, -60, -3, 0, 1,
+  5, 60, 300} and three w at tau = 0.5i, the last at Im w = 0.9 Im tau,
+  each as its repr or its typed error.
 
 Each CLI command runs in a fresh interpreter.  It takes under a minute.
 """
@@ -65,7 +68,8 @@ from jrl.reduction import (  # noqa: E402
 )
 from jrl.reduction import steps  # noqa: E402
 from jrl.reduction.steps import VARIANTS  # noqa: E402
-from jrl.specfun import ModularPoint  # noqa: E402
+from jrl.errors import JrlError  # noqa: E402
+from jrl.specfun import AnnulusPoint, ModularPoint, Truncation, weier_p_twisted  # noqa: E402
 from jrl.voa import (  # noqa: E402
     VACUUM,
     AlgebraElement,
@@ -99,6 +103,9 @@ EVAL_COMMANDS = (
     "--fn P --m 200 --nmode 2 --w 0.1+0.2i --tau 0.5i",
     "--fn Ptwist --m 1 --lambda 2.5 --w 0.1+0.2i --tau 0.5i",
     "--fn laurentP --kind plain --k 13 --tau 0.5i",
+    "--fn E --k 4 --tau 1e-20i",
+    "--fn E --k 4 --tau 200i",
+    "--fn Ptilde --m 2 --z 400i --w 0.1+0.2i --tau 0.5i",
 )
 DRAWN_OPS = 8  # per non-stage coboundary class
 # (spec, sector, cap) of the enumerate_basis modules of jrl/checks.py
@@ -250,6 +257,24 @@ def basis_battery(out) -> None:
         out.write(f"## basis {name}\ndim {module.dim}\nstates {states}\nkeys {keys}\n")
 
 
+TWIST_TAU = ModularPoint(0.5j)
+TWIST_WS = (0.1 + 0.2j, -0.35 + 0.3j, 0.2 + 0.45j)
+TWIST_LAMS = (-70, -60, -3, 0, 1, 5, 60, 300)
+
+
+def twisted_battery(out) -> None:
+    tr = Truncation()
+    for w in TWIST_WS:
+        p = AnnulusPoint(w, TWIST_TAU)
+        for lam in TWIST_LAMS:
+            for m in range(1, 6):
+                try:
+                    value = repr(weier_p_twisted(m, lam, p, tr))
+                except JrlError as exc:
+                    value = f"{type(exc).__name__}: {exc}"
+                out.write(f"## twisted m {m} lam {lam} w {w!r}\n{value}\n")
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
@@ -261,6 +286,7 @@ def main(argv: list[str]) -> int:
         shifted_battery(out)
         zero_mode_trace_battery(out)
         basis_battery(out)
+        twisted_battery(out)
     return 0
 
 
