@@ -183,6 +183,8 @@ def request_from_json(doc: dict) -> NPointRequest:
     )
 
     sector = _get(doc, "sector", _floats, "request", ())
+    if spec.kind == "heisenberg" and len(sector) != spec.rank:
+        raise DomainViolation("sector length must match rank")
 
     par = doc["params"]
     _check_fields(
@@ -200,6 +202,8 @@ def request_from_json(doc: dict) -> NPointRequest:
         if zeta == 0:
             raise UsageError("zeta must be nonzero")
         z = cmath.log(zeta) / (2j * math.pi)
+    if not cmath.isfinite(z):
+        raise DomainViolation(f"flux z must be finite, got z = {z}")
     params = JacobiParams(
         z=z,
         tau=ModularPoint(l2c(par["tau"])),
@@ -401,7 +405,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    from .reduction import npoint_oracle, reduce_full, reduction_family, stage_contributions
+    from .reduction import coboundary_apply, npoint_oracle, reduce_full, reduction_family
 
     with open(args.request, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -420,10 +424,9 @@ def cmd_reduce(args) -> int:
             value = npoint_oracle(req)
         else:
             base = req.with_insertions(req.insertions[:-1])
-            vs = tuple(v for v, _ in req.insertions)
-            ws = tuple(w for _, w in req.insertions)
-            contribs = stage_contributions(args.variant, base, reduction_family(base), vs, ws)
-            value = sum((c.value for c in contribs), 0.0 + 0.0j)
+            vs, ws = zip(*req.insertions)
+            stage = coboundary_apply(args.variant, vs[-1], reduction_family(base), base)
+            value = stage.evaluate(vs, ws)
 
     checks = [_check_row("reduce", {"variant": args.variant, "n": req.n}, c2l(value))]
     if args.oracle:
@@ -520,9 +523,25 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+# eval flags whose value may start with "-", which argparse reads as an
+# option unless it is a plain negative number (not -0.2+0.9i, not -1e-3)
+SIGNED_FLAGS = ("--lambda", "--theta", "--phi", "--w", "--z", "--tau")
+
+
+def _join_signed_values(argv: list[str]) -> list[str]:
+    """argv with "--tau -0.2+0.9i" spelled "--tau=-0.2+0.9i" for each of SIGNED_FLAGS."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in SIGNED_FLAGS and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_signed_values(sys.argv[1:] if argv is None else argv))
     try:
         if args.command == "eval":
             return cmd_eval(args)

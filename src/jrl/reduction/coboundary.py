@@ -8,11 +8,12 @@ applications gives the chain map whose residual chain_condition_residual
 samples on a seeded grid.
 
 All four variants are read from the one stage table `steps.stage_table`;
-a stage contribution is one of its rows evaluated on the family, so
-"simplest" is the reduce_step table by construction.
+a stage contribution is one of its rows read at the positions by
+`StageRow.at` and evaluated on the family, so "simplest" is the
+reduce_step table by construction.
 
 Variants:
-  simplest  branch-selected kernels: the rows reduce_step wraps
+  simplest  branch-selected kernels: the rows of reduce_step
   main      same table, but only admissible where v[l].v_k = 0 for l >= 1
   shifted   undeformed kernels P_{m+1}, lattice-shifted modes v[m]_h, and
             the mu-shifted zero mode
@@ -29,8 +30,8 @@ import numpy as np
 
 from ..errors import DomainViolation, GridDegenerate
 from ..voa.algebra import AlgebraElement
-from .steps import ONE, VARIANTS, reduce_full, stage_table
-from .types import NPointRequest, npoint_oracle, specfun_kernel
+from .steps import VARIANTS, reduce_full, stage_table
+from .types import NPointRequest, npoint_oracle
 
 
 @dataclass(frozen=True)
@@ -86,18 +87,11 @@ def stage_contributions(
 
     vs/ws carry n+1 entries; the last is the distinguished insertion."""
     ws = tuple(map(complex, ws))
-    table = stage_table(variant, context, vs, ws)[3]
-    base_vs, base_ws = vs[:-1], ws[:-1]
     out: list[StageContribution] = []
-    for row in table:
-        if row.kind == "kernel":
-            scale, leaf = row.scale, None
-            kernel = specfun_kernel(row.name, row.kernel_args(ws), context.truncation)
-            mod_vs = base_vs[: row.k - 1] + (row.image,) + base_vs[row.k :]
-        else:
-            (scale, leaf), kernel, mod_vs = row.zero_term(context, vs, ws), ONE, base_vs
+    for row in stage_table(variant, context, vs, ws):
+        scale, kernel, _, child, leaf = row.at(context, vs, ws)
         if leaf is None:
-            leaf = family.evaluate(mod_vs, base_ws)
+            leaf = family.evaluate(child, ws[:-1])
         out.append(StageContribution(row.kind, row.k, row.m, row.name, scale * kernel * leaf))
     return out
 

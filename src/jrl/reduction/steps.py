@@ -22,9 +22,9 @@ slots before it, and all right-hand terms carry the global sign
 two-point functions.
 
 This right-hand side is written down once, as the position-free stage
-table `stage_table`.  `reduce_step` evaluates its "simplest" rows at the
-positions, each with its child request, and
-`coboundary.stage_contributions` evaluates the rows of any variant on a
+table `stage_table`, and a row is read at the positions by `StageRow.at`:
+`reduce_step` reads the "simplest" rows, each with its child request,
+and `coboundary.stage_contributions` reads the rows of any variant on a
 FunctionFamily.  `reduce_full` builds the whole tree of "simplest" tables
 once per request family, as a `ReductionPlan`, and evaluates it at each
 request's positions.  The negative-mode rule and the identity residuals
@@ -84,20 +84,6 @@ class StepTerm:
     leaf_value: complex | None = None
 
 
-@dataclass(frozen=True)
-class StepResult:
-    branch: Branch | None
-    phi: complex
-    theta: complex
-    terms: tuple[StepTerm, ...]
-
-
-def _select_branch(req: NPointRequest, alpha: float, integer_weight: bool) -> Branch | None:
-    if not integer_weight:
-        return None
-    return select_branch(alpha, req.params.z, req.params.tau)
-
-
 # ---------------------------------------------------------------------------
 # Stage table
 # ---------------------------------------------------------------------------
@@ -147,10 +133,15 @@ def bracket_images(
             prefix += element_weight_charge(spec, x)[2]
 
 
+def _slot(items: tuple, k: int, x) -> tuple:
+    """items with the entry in slot k (from 1) replaced by x."""
+    return items[: k - 1] + (x,) + items[k:]
+
+
 def with_slot(req: NPointRequest, k: int, img: AlgebraElement) -> NPointRequest:
     """req with the element in slot k (from 1) replaced by img."""
     ins = req.insertions
-    return req.with_insertions(ins[: k - 1] + ((img, ins[k - 1][1]),) + ins[k:])
+    return req.with_insertions(_slot(ins, k, (img, ins[k - 1][1])))
 
 
 def zero_mode_scalar(req: NPointRequest, v: AlgebraElement) -> complex | None:
@@ -267,6 +258,18 @@ class StageRow:
         args["w"] = ws[-1] - ws[self.k - 1]
         return args
 
+    def at(self, context: NPointRequest, vs: tuple, ws: tuple):
+        """(scale, kernel, args, child, leaf) of the row at elements vs and
+        complex positions ws: its term is scale * kernel * leaf, or, where
+        leaf is None, scale * kernel times the n-point function of the
+        elements child at ws[:-1]."""
+        if self.kind == "kernel":
+            args = self.kernel_args(ws)
+            kernel = specfun_kernel(self.name, args, context.truncation)
+            return self.scale, kernel, args, _slot(vs[:-1], self.k, self.image), None
+        scale, leaf = self.zero_term(context, vs, ws)
+        return scale, ONE, self.args, vs[:-1] if leaf is None else None, leaf
+
 
 def _check_separations(ws: tuple, tau) -> None:
     """Validate w_d - w_k of every slot k, also of slots without images."""
@@ -279,9 +282,9 @@ def stage_table(variant: str, context: NPointRequest, vs: tuple, ws: tuple | Non
     elements vs (n+1 entries, the last distinguished).
 
     context supplies the spec, sector and flux (its insertions are not
-    read).  Returns (branch, phi, theta, rows), rows a tuple of StageRow:
-    the zero rows first, then the kernel rows by (k, m).  The `main`
-    admissibility check and the branch selection run here.  Given complex
+    read).  Returns the rows, a tuple of StageRow: the zero rows first,
+    then the kernel rows by (k, m).  The `main` admissibility check and
+    the branch selection run here.  Given complex
     positions ws, the separations w_d - w_k are checked after the branch
     selection, before any image is taken."""
     if variant not in VARIANTS:
@@ -301,10 +304,10 @@ def stage_table(variant: str, context: NPointRequest, vs: tuple, ws: tuple | Non
                 f"v[{m}].v_k is nonzero; the plain-coefficient variant does not apply"
             )
     if variant != "super":
-        branch = _select_branch(context, ch_d, integer_weight)
+        branch = select_branch(ch_d, context.params.z, tau) if integer_weight else None
     elif integer_weight and abs(theta - 1.0) <= 1e-12:
         # super zero-mode term is gated by delta_{theta,1} delta_{phi,1}
-        branch = _select_branch(context, ch_d, True)
+        branch = select_branch(ch_d, context.params.z, tau)
     else:
         branch = None
     if ws is not None:
@@ -338,7 +341,7 @@ def stage_table(variant: str, context: NPointRequest, vs: tuple, ws: tuple | Non
         # w = 0 holds the place of the separation, filled in at the positions
         name, args = kernel_spec(m + 1, tau.tau, 0j, k_branch, k_twist, az)
         rows.append(StageRow("kernel", k, m, name, args, global_sign * sign, image=img))
-    return branch, phi, theta, tuple(rows)
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -364,15 +367,15 @@ class _PlanNode:
         self.vs = vs
         self.leaf = leaf_value() if not vs else None
         rows = []
-        for row in stage_table("simplest", family, vs, ws[: self.n])[3] if vs else ():
+        for row in stage_table("simplest", family, vs, ws[: self.n]) if vs else ():
             # (row, child node, kernel key): the kernel key names the kernel
             # of a kernel row, which is the same wherever (name, args, d, k) are
             if row.kind == "kernel":
                 base = vs[:-1]
                 kkey = (row.name, self.n, row.k, tuple(row.args.items()))
                 for part in homogeneous_parts(family.spec, row.image):
-                    child_vs = base[: row.k - 1] + (part,) + base[row.k :]
-                    rows.append((row, _node(family, child_vs, ws, nodes, leaf_value), kkey))
+                    child = _node(family, _slot(base, row.k, part), ws, nodes, leaf_value)
+                    rows.append((row, child, kkey))
             elif row.trace_lam is not None:
                 rows.append((row, None, None))
             else:
@@ -539,28 +542,19 @@ def _cached_plan(family: NPointRequest, keys: tuple) -> ReductionPlan:
 # ---------------------------------------------------------------------------
 
 
-def reduce_step(req: NPointRequest) -> StepResult:
+def reduce_step(req: NPointRequest) -> tuple[StepTerm, ...]:
     """One reduction stage acting on the last insertion: the "simplest"
     stage rows at the request's positions, each with its child request."""
     if req.n < 1:
         raise UnsupportedInsertion("nothing to reduce in a zero-point request")
-    base = req.insertions[:-1]
     vs = tuple(v for v, _ in req.insertions)
     ws = tuple(complex(w) for _, w in req.insertions)
-    branch, phi, theta, table = stage_table("simplest", req, vs, ws)
     terms: list[StepTerm] = []
-    for row in table:
-        if row.kind == "kernel":
-            args = row.kernel_args(ws)
-            kernel = specfun_kernel(row.name, args, req.truncation)
-            k = row.k
-            child = req.with_insertions(base[: k - 1] + ((row.image, base[k - 1][1]),) + base[k:])
-            terms.append(StepTerm(row.kind, k, row.m, row.name, args, row.scale, kernel, child))
-        else:
-            scale, leaf = row.zero_term(req, vs, ws)
-            child = req.with_insertions(base) if leaf is None else None
-            terms.append(StepTerm(row.kind, 0, 0, row.name, row.args, scale, ONE, child, leaf))
-    return StepResult(branch=branch, phi=phi, theta=theta, terms=tuple(terms))
+    for row in stage_table("simplest", req, vs, ws):
+        scale, kernel, args, child, leaf = row.at(req, vs, ws)
+        child = None if child is None else req.with_insertions(tuple(zip(child, ws)))
+        terms.append(StepTerm(row.kind, row.k, row.m, row.name, args, scale, kernel, child, leaf))
+    return tuple(terms)
 
 
 def reduce_full(req: NPointRequest) -> tuple[complex, CoefficientLedger]:
@@ -574,9 +568,7 @@ def reduce_full(req: NPointRequest) -> tuple[complex, CoefficientLedger]:
     return plan.evaluate(w for _, w in req.insertions)
 
 
-def reduce_negative_mode(
-    req: NPointRequest, v: AlgebraElement, l: int
-) -> tuple[complex, CoefficientLedger]:
+def reduce_negative_mode(req: NPointRequest, v: AlgebraElement, l: int) -> complex:
     """Evaluate Z((v[-l].x_1), x_2, ..., x_n) by pushing the negative mode out.
 
     generic branch (alpha z off the lattice):
@@ -599,25 +591,19 @@ def reduce_negative_mode(
     wt_v, ch_v, par_v = element_weight_charge(spec, v)
     if par_v and req.n >= 2:
         raise UnsupportedInsertion("odd insertions with extra slots are not supported here")
-    branch = _select_branch(req, ch_v, True) if abs(phase(complex(wt_v)) - 1.0) <= 1e-12 else None
-    if branch is None:
+    if abs(phase(complex(wt_v)) - 1.0) > 1e-12:
         raise UnsupportedInsertion("negative-mode rules need an integer-weight insertion")
+    branch = select_branch(ch_v, req.params.z, req.params.tau)
     tau = req.params.tau
     tr = req.truncation
     w_1 = complex(req.insertions[0][1])
     az = ch_v * complex(req.params.z)
 
-    terms: list[LedgerTerm] = []
     total = 0.0 + 0.0j
-
     if branch.kind == "lattice":
         head_scale = (-1.0) ** (l + 1) * branch.lam ** (l - 1) / math.factorial(l - 1)
         if head_scale != 0.0:
-            head = zero_mode_trace(req, v, branch.lam, req.insertions)
-            total += head_scale * head
-            terms.append(
-                LedgerTerm("head_trace", 0, 0, "one", {}, complex(head_scale), ONE, None, head)
-            )
+            total += head_scale * zero_mode_trace(req, v, branch.lam, req.insertions)
 
     vs = tuple(u for u, _ in req.insertions)
     for k, m, img, _ in bracket_images(spec, v, wt_v, 0, vs):
@@ -628,13 +614,5 @@ def reduce_negative_mode(
             scale, w = (-1.0) ** (l + 1) * binom, w_1 - complex(req.insertions[k - 1][1])
         name, args = kernel_spec(m + l, tau.tau, w, branch, az=az)
         kernel = specfun_kernel(name, args, tr)
-        child_value = npoint_oracle(with_slot(req, k, img))
-        total += scale * kernel * child_value
-        terms.append(
-            LedgerTerm(
-                "eisen" if k == 1 else "kernel",
-                k, m, name, args, complex(scale), kernel, None, child_value,
-            )
-        )
-
-    return total, CoefficientLedger(n=req.n, value=total, terms=tuple(terms), is_leaf=False)
+        total += scale * kernel * npoint_oracle(with_slot(req, k, img))
+    return total

@@ -100,8 +100,8 @@ class NPointRequest:
     headroom: int = DEFAULT_HEADROOM
 
     def __post_init__(self):
-        if self.cap > MAX_LEVEL_CAP:
-            raise DomainViolation(f"level cap {self.cap} exceeds {MAX_LEVEL_CAP}")
+        if not self.cap <= MAX_LEVEL_CAP:
+            raise DomainViolation(f"level cap must be at most {MAX_LEVEL_CAP}, got {self.cap}")
         for v, _ in self.insertions:
             for state in v.terms:
                 if any(not 0 <= f < self.spec.rank for f, _ in state.boson):
@@ -200,7 +200,7 @@ class LedgerTerm:
     special-function value recomputable from (name, args) and `scale`
     collects parity signs, binomials, and exponential prefactors."""
 
-    kind: str  # "kernel" | "zero_scalar" | "zero_trace" | "head_trace" | "eisen"
+    kind: str  # "kernel" | "zero_scalar" | "zero_trace"
     k: int
     m: int
     name: str

@@ -59,6 +59,8 @@ class ModularPoint:
     tau: complex
 
     def __post_init__(self):
+        if not math.isfinite(self.tau.real):
+            raise DomainViolation(f"tau needs a finite real part, got tau = {self.tau}")
         # 1 - |q| must not round to 0, and q must have finite inverse powers
         if not (self.tau.imag > 0.0 and sys.float_info.min <= self.q_abs < 1.0):
             raise DomainViolation(f"tau needs |q| a normal float below 1, got tau = {self.tau}")

@@ -523,3 +523,50 @@ def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
     assert doc["command"] == "eval"
     assert doc["error"] == {"type": "internal_error", "message": "RuntimeError: bug"}
     assert "Traceback" not in captured.err
+
+
+def test_verify_twisted_shift_identity_catches_a_scaled_mode_sum(capsys, monkeypatch):
+    # the check sums the defining series of P_{1,lam} term by term, so an
+    # error in the mode sum that every Weierstrass kernel shares shows
+    from jrl import cli
+    from jrl.specfun import weierstrass
+
+    mode_sum = weierstrass._mode_sum
+    monkeypatch.setattr(weierstrass, "_mode_sum", lambda *a, **kw: 1.01 * mode_sum(*a, **kw))
+    monkeypatch.delenv("JRL_DEFAULT_NQ", raising=False)
+    monkeypatch.delenv("JRL_DEFAULT_TOL", raising=False)
+    assert cli.main(["verify", "--suite", "specfun"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    row = next(c for c in doc["checks"] if c["name"] == "twisted_shift_identity")
+    assert not row["pass"] and row["residual"] > row["tolerance"] == 1e-12
+
+
+@pytest.mark.parametrize(
+    "flag, value, rest",
+    [
+        ("--tau", "-0.2+0.9i", ["--fn", "E", "--k", "4"]),
+        ("--w", "-0.1+0.2i", ["--fn", "P", "--m", "2", "--tau", "0.5i"]),
+        ("--z", "-0.1+0.3i", ["--fn", "Etilde", "--k", "2", "--tau", "0.5i"]),
+        ("--theta", "-0.6+0.8i", ["--fn", "Pdef", "--k", "2", "--phi", "-1",
+                                  "--w", "0.1+0.2i", "--tau", "0.5i"]),
+        ("--phi", "-0.8-0.6i", ["--fn", "Pdef", "--k", "2", "--theta", "0.6+0.8i",
+                                "--w", "0.1+0.2i", "--tau", "0.5i"]),
+        ("--lambda", "-2.5e-1", ["--fn", "Etwist", "--k", "2", "--tau", "0.5i"]),
+    ],
+)
+def test_eval_value_may_start_with_a_minus_sign(capsys, monkeypatch, flag, value, rest):
+    from jrl import cli
+
+    monkeypatch.delenv("JRL_DEFAULT_NQ", raising=False)
+    monkeypatch.delenv("JRL_DEFAULT_TOL", raising=False)
+    reports = []
+    for spelling in ([flag, value], [f"{flag}={value}"]):
+        assert cli.main(["eval", *rest, *spelling]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    # a flag without its value is still a usage error
+    for argv in (["eval", *rest, flag], ["eval", flag, *rest]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err

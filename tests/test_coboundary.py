@@ -81,7 +81,7 @@ def test_simplest_variant_matches_reduce_step():
     extended = base.with_insertions(base.insertions + ((J, 0.42j),))
     # identical coefficient structure, stage for stage
     step = reduce_step(extended)
-    assert [(t.kind, t.k, t.m) for t in step.terms] == [
+    assert [(t.kind, t.k, t.m) for t in step] == [
         (c.kind, c.k, c.m) for c in contribs
     ]
     # same value as the recursive reduction, children and all
@@ -89,7 +89,7 @@ def test_simplest_variant_matches_reduce_step():
     assert total == val
     # and the step children evaluated by direct trace agree to truncation
     want = 0.0 + 0.0j
-    for t in step.terms:
+    for t in step:
         child = npoint_oracle(t.child) if t.child is not None else t.leaf_value
         want += t.scale * t.kernel * child
     assert abs(total - want) / max(1.0, abs(want)) < 1e-8
@@ -224,9 +224,9 @@ def test_stage_values_are_reduce_step_terms_exactly():
     ws = (0.12j, 0.31j, 0.42j)
     contribs = stage_contributions("simplest", base, reduction_family(base), vs, ws)
     step = reduce_step(base.with_insertions(base.insertions + ((J, 0.42j),)))
-    assert [t.kind for t in step.terms][:1] == ["zero_scalar"]
-    assert [(t.kind, t.k, t.m, t.name) for t in step.terms] == [
+    assert [t.kind for t in step][:1] == ["zero_scalar"]
+    assert [(t.kind, t.k, t.m, t.name) for t in step] == [
         (c.kind, c.k, c.m, c.name) for c in contribs
     ]
-    for t, c in zip(step.terms, contribs):
+    for t, c in zip(step, contribs):
         assert c.value == t.scale * t.kernel * reduce_full(t.child)[0]

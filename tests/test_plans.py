@@ -45,7 +45,7 @@ def reference_reduce_full(req):
         return value, CoefficientLedger(n=0, value=value, terms=(), is_leaf=True)
     step = reduce_step(req)
     terms, total = [], 0.0 + 0.0j
-    for t in step.terms:
+    for t in step:
         if t.child is not None:
             child_value, child = reference_reduce_full(t.child)
         else:

@@ -182,7 +182,7 @@ def test_negative_mode_current_squared():
     # o(J(-1)J) insertion equals (alpha^2 + E_2) times the plain trace
     req = heis_request(n=1, alpha=0.6)
     J = current_state(HEIS)
-    val, _ = reduce_negative_mode(req, J, 1)
+    val = reduce_negative_mode(req, J, 1)
     z0 = npoint_oracle(req.with_insertions(()))
     e2 = eisenstein(2, TAU, req.truncation)
     want = (0.36 + e2) * z0
@@ -192,7 +192,7 @@ def test_negative_mode_current_squared():
 def test_negative_mode_fermion_bilinear():
     req = cferm_request()
     b = oscillator_state("b", 1)
-    val, _ = reduce_negative_mode(
+    val = reduce_negative_mode(
         req.with_insertions(((oscillator_state("c", 1), 0.12j),)), b, 1
     )
     z0 = npoint_oracle(req.with_insertions(()))
@@ -317,9 +317,9 @@ def test_reduce_step_subset_of_full():
     req = heis_request(n=2)
     step = reduce_step(req)
     val, ledger = reduce_full(req)
-    assert len(step.terms) == len(ledger.terms)
+    assert len(step) == len(ledger.terms)
     total = 0.0 + 0.0j
-    for t in step.terms:
+    for t in step:
         child = npoint_oracle(t.child) if t.child is not None else t.leaf_value
         total += t.scale * t.kernel * child
     assert abs(total - val) / abs(val) < 1e-8

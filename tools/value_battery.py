@@ -36,6 +36,13 @@ compared with one `diff` of their files.  The battery runs the program in
 - the twisted kernels P_{m,lam} at m = 1..5, lam in {-70, -60, -3, 0, 1,
   5, 60, 300} and three w at tau = 0.5i, the last at Im w = 0.9 Im tau,
   each as its repr or its typed error.
+- the terms of `reduce_step` (kind, k, m, name, args, scale, kernel,
+  leaf value and child positions), recursively down to zero points, on
+  the `tests/test_plans.py` families at their three position scans and
+  on every request of the perfbench `reduction` pool;
+- `reduce_negative_mode` on the cases of `tests/test_reduction.py`, and
+  at l = 1..3 on the lattice branch of the complex fermion at z = tau,
+  each as its repr or its typed error.
 
 Each CLI command runs in a fresh interpreter.  It takes under a minute.
 """
@@ -52,8 +59,10 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
+import test_plans  # noqa: E402
+import test_reduction  # noqa: E402
 import workloads  # noqa: E402
 from jrl.cli import ledger_to_json  # noqa: E402
 from jrl.reduction import (  # noqa: E402
@@ -63,6 +72,8 @@ from jrl.reduction import (  # noqa: E402
     identity_zero_res,
     oracle_family,
     reduce_full,
+    reduce_negative_mode,
+    reduce_step,
     reduction_family,
     stage_contributions,
 )
@@ -275,6 +286,49 @@ def twisted_battery(out) -> None:
                 out.write(f"## twisted m {m} lam {lam} w {w!r}\n{value}\n")
 
 
+def _step_terms(out, req) -> None:
+    """The reduce_step terms of req and, depth first, of their children."""
+    step = reduce_step(req)
+    for t in getattr(step, "terms", step):  # older checkouts wrap the terms
+        child = None if t.child is None else [w for _, w in t.child.insertions]
+        out.write(f"{t.kind} {t.k} {t.m} {t.name} {sorted(t.args.items())!r} {t.scale!r} "
+                  f"{t.kernel!r} {t.leaf_value!r} {child!r}\n")
+        if t.child is not None and t.child.n:
+            _step_terms(out, t.child)
+
+
+def step_battery(out) -> None:
+    for name, fam in sorted(test_plans.FAMILIES.items()):
+        for i, ws in enumerate(test_plans.SCAN):
+            out.write(f"## reduce_step plans {name} {i}\n")
+            _step_terms(out, test_plans.at(fam, ws))
+    red = workloads.Reduction()
+    for cls, entries in red.pool.items():
+        for i, entry in enumerate(entries):
+            out.write(f"## reduce_step reduction {cls} {i}\n")
+            _step_terms(out, red.request({"cls": cls, **entry}))
+
+
+def negative_mode_battery(out) -> None:
+    tests = test_reduction
+    b, c = oscillator_state("b", 1), oscillator_state("c", 1)
+    J = current_state(tests.HEIS)
+    lattice = tests.cferm_request(z=tests.TAU.tau).with_insertions(((c, 0.12j),))
+    cases = [
+        ("current_squared", tests.heis_request(n=1, alpha=0.6), J, 1),
+        ("fermion_bilinear", tests.cferm_request().with_insertions(((c, 0.12j),)), b, 1),
+        ("deep_fermion_stack", tests.cferm_request(), b, 2),
+    ]
+    cases += [(f"lattice_flux l {l}", lattice, b, l) for l in (1, 2, 3)]
+    for name, req, v, l in cases:
+        try:
+            value = reduce_negative_mode(req, v, l)
+            value = repr(value[0] if isinstance(value, tuple) else value)  # (value, ledger)
+        except JrlError as exc:
+            value = f"{type(exc).__name__}: {exc}"
+        out.write(f"## reduce_negative_mode {name}\n{value}\n")
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
@@ -287,6 +341,8 @@ def main(argv: list[str]) -> int:
         zero_mode_trace_battery(out)
         basis_battery(out)
         twisted_battery(out)
+        step_battery(out)
+        negative_mode_battery(out)
     return 0
 
 
