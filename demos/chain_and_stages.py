@@ -13,6 +13,7 @@ from jrl.reduction import (
     chain_condition_residual,
     kz_residual,
     oracle_family,
+    reduce_full,
     reduction_family,
     stage_contributions,
 )
@@ -43,7 +44,12 @@ def main():
     print(f"  stage sum = {sum(c.value for c in contribs):+.6f}")
 
     clean = kz_residual(base, J, 0.31j)
-    broken = kz_residual(base, J, 0.31j, coefficient_scale=1.01)
+    # the same stage sum with its dominant contribution scaled by 1.01
+    lhs, _ = reduce_full(base.with_insertions(base.insertions + ((J, 0.31j),)))
+    values = [c.value for c in contribs]
+    top = max(range(len(values)), key=lambda i: abs(values[i]))
+    values[top] *= 1.01
+    broken = abs(lhs - sum(values)) / max(1.0, abs(lhs))
     print(f"stage-sum residual: clean {clean:.3e}, dominant stage scaled by 1.01: {broken:.3e}")
 
     heis2 = AlgebraSpec(kind="heisenberg", rank=2)

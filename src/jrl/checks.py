@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 from .reduction import (
@@ -260,28 +261,22 @@ def _chk_mode_commutator(tr: Truncation) -> float:
     return r
 
 
-def _heis_request(tr: Truncation, cap: float = 8.0, n: int = 1) -> NPointRequest:
+def _heis_request(tr: Truncation, n: int = 1) -> NPointRequest:
     spec = AlgebraSpec(kind="heisenberg", rank=1)
     params = JacobiParams(z=0.23 - 0.11j, tau=ModularPoint(0.5j))
     ws = [0.12j, 0.31j][:n]
     ins = tuple((current_state(spec), w) for w in ws)
     return NPointRequest(
-        spec=spec, sector=(0.6,), cap=cap, insertions=ins, params=params, truncation=tr
+        spec=spec, sector=(0.6,), cap=8.0, insertions=ins, params=params, truncation=tr
     )
 
 
-def _chk_one_point_current(tr: Truncation) -> float:
-    req = _heis_request(tr)
-    value, _ = reduce_full(req)
-    ref = npoint_oracle(req)
-    return abs(value - ref) / max(1.0, abs(ref))
-
-
-def _chk_two_current_match(tr: Truncation) -> float:
-    # the reduction of J J evaluates P_2 at w_2 - w_1 = 0.19i as a mode sum
-    # cut at tr.n_mode, against the direct trace: the residual is 3.8e-10
-    # at the default n_mode, 2.4e-4 at n_mode 8 and 0.12 at n_mode 2
-    req = _heis_request(tr, n=2)
+def _chk_current_match(tr: Truncation, n: int) -> float:
+    # the reduction of n currents against the direct trace; at n = 2 it
+    # evaluates P_2 at w_2 - w_1 = 0.19i as a mode sum cut at tr.n_mode:
+    # the residual is 3.8e-10 at the default n_mode, 2.4e-4 at n_mode 8
+    # and 0.12 at n_mode 2
+    req = _heis_request(tr, n)
     value, _ = reduce_full(req)
     ref = npoint_oracle(req)
     return abs(value - ref) / max(1.0, abs(ref))
@@ -377,8 +372,8 @@ CHECKS: tuple[Check, ...] = (
     Check("complex_fermion_flux_product", "voa", 1e-10, _chk_complex_fermion_flux),
     Check("kappa_reference_values", "voa", 1e-14, _chk_kappa_reference),
     Check("mode_commutator", "voa", 1e-12, _chk_mode_commutator),
-    Check("one_point_current_match", "reduction", 1e-5, _chk_one_point_current),
-    Check("two_current_match", "reduction", 1e-8, _chk_two_current_match),
+    Check("one_point_current_match", "reduction", 1e-5, partial(_chk_current_match, n=1)),
+    Check("two_current_match", "reduction", 1e-8, partial(_chk_current_match, n=2)),
     Check("v0_sum_complex_fermion", "reduction", 1e-10, _chk_v0_sum),
     Check("rec1_beta_one", "reduction", 1e-6, _chk_rec1),
     Check("zero_res_lattice_flux", "reduction", 1e-8, _chk_zero_res),

@@ -202,8 +202,6 @@ def request_from_json(doc: dict) -> NPointRequest:
         if zeta == 0:
             raise UsageError("zeta must be nonzero")
         z = cmath.log(zeta) / (2j * math.pi)
-    if not cmath.isfinite(z):
-        raise DomainViolation(f"flux z must be finite, got z = {z}")
     params = JacobiParams(
         z=z,
         tau=ModularPoint(l2c(par["tau"])),

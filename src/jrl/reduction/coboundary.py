@@ -163,6 +163,9 @@ def chain_condition_residual(
     return num / max(den, 1e-12)
 
 
+RANK_THRESHOLD = 1e-8  # relative singular-value cut of the probe's numerical rank
+
+
 @dataclass(frozen=True)
 class ProbeResult:
     rank: int
@@ -176,12 +179,12 @@ def cohomology_probe(
     candidates: Sequence[FunctionFamily],
     context: NPointRequest,
     grid: Sequence[tuple[complex, ...]],
-    threshold: float = 1e-8,
 ) -> ProbeResult:
     """Numerical rank of the coboundary applied to candidate families.
 
     M[i, j] = (delta(v_next) candidate_j)(grid_i); the kernel dimension is
-    len(candidates) - rank at the relative SVD threshold."""
+    len(candidates) - rank, the rank counting the singular values above
+    RANK_THRESHOLD times the largest."""
     if not candidates:
         raise GridDegenerate("no candidate families")
     n = candidates[0].n
@@ -206,7 +209,7 @@ def cohomology_probe(
     if smax == 0.0:
         rank = 0
     else:
-        rank = int(np.sum(sing > threshold * smax))
+        rank = int(np.sum(sing > RANK_THRESHOLD * smax))
     return ProbeResult(
         rank=rank,
         kernel_dim=len(candidates) - rank,

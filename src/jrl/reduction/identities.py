@@ -10,7 +10,7 @@ from __future__ import annotations
 from ..errors import NonIntegerWeight, NotOnLattice
 from ..specfun.points import phase
 from ..voa.algebra import AlgebraElement
-from .coboundary import reduction_family, stage_contributions
+from .coboundary import coboundary_apply, reduction_family
 from .steps import bracket_images, reduce_full, with_slot, zero_mode_trace
 from .types import NPointRequest, element_weight_charge, npoint_oracle, select_branch
 
@@ -18,7 +18,7 @@ from .types import NPointRequest, element_weight_charge, npoint_oracle, select_b
 def identity_v0_sum(req: NPointRequest, v: AlgebraElement) -> float:
     """Residual of sum_k (+-) Z((v[0].)_k insertions) = 0 for integer weight v."""
     wt, _, par = element_weight_charge(req.spec, v)
-    if abs(wt - round(wt.real)) > 1e-9 or abs(wt.imag) > 1e-9:
+    if wt % 1:
         raise NonIntegerWeight(f"v[0]-sum needs integer weight, got {wt}")
     total, scale = _mode_sweep_sum(req, v, wt, par, 0.0)
     return abs(total) / max(1.0, scale)
@@ -74,28 +74,14 @@ def identity_zero_res(req: NPointRequest, v: AlgebraElement) -> float:
 
 
 def kz_residual(
-    base_req: NPointRequest,
-    v_next: AlgebraElement,
-    w_next: complex,
-    variant: str = "simplest",
-    coefficient_scale: float = 1.0,
+    base_req: NPointRequest, v_next: AlgebraElement, w_next: complex, variant: str = "simplest"
 ) -> float:
-    """Residual between the direct (n+1)-point reduction and its coboundary form.
-
-    coefficient_scale != 1 multiplies the dominant stage contribution before
-    comparing; a genuine membership should then fail visibly."""
+    """Residual between the direct (n+1)-point reduction and its coboundary
+    form: |reduce_full(extended) - (delta(v_next) reduction_family)(vs, ws)|
+    / max(1, |reduce_full(extended)|), extended being base_req with
+    (v_next, w_next) appended."""
     extended = base_req.with_insertions(base_req.insertions + ((v_next, complex(w_next)),))
     lhs, _ = reduce_full(extended)
-    family = reduction_family(base_req)
-    vs = tuple(u for u, _ in base_req.insertions) + (v_next,)
-    ws = tuple(w for _, w in base_req.insertions) + (complex(w_next),)
-    contribs = stage_contributions(variant, base_req, family, vs, ws)
-    if coefficient_scale != 1.0 and contribs:
-        idx = max(range(len(contribs)), key=lambda i: abs(contribs[i].value))
-        rhs = sum(
-            (c.value * (coefficient_scale if i == idx else 1.0) for i, c in enumerate(contribs)),
-            0.0 + 0.0j,
-        )
-    else:
-        rhs = sum((c.value for c in contribs), 0.0 + 0.0j)
+    vs, ws = zip(*extended.insertions)
+    rhs = coboundary_apply(variant, v_next, reduction_family(base_req), base_req).evaluate(vs, ws)
     return abs(lhs - rhs) / max(1.0, abs(lhs))

@@ -108,7 +108,6 @@ def bracket_images(
     wt: float,
     par: int,
     elements: tuple[AlgebraElement, ...],
-    first: int = 0,
     last: int | None = None,
     shift: float = 0,
     strict: bool = False,
@@ -116,7 +115,7 @@ def bracket_images(
     """Yield (k, m, v[m]_shift.x_k, sign) for every nonzero image, k from 1
     and m rising; at shift 0 the images are v[m].x_k.
 
-    m runs from `first` to `last`, by default to `last_mode(spec, wt, x_k)`,
+    m runs from 0 to `last`, by default to `last_mode(spec, wt, x_k)`,
     past which v[m]_shift annihilates x_k.
     sign = (-1)^{par (p(x_1) + ... + p(x_{k-1}))}.  The parity of x_k is
     read after its images when a later sign needs it, and always when
@@ -125,7 +124,7 @@ def bracket_images(
     for k, x in enumerate(elements, start=1):
         sign = -1.0 if par and prefix % 2 else 1.0
         stop = last_mode(spec, wt, x) if last is None else last
-        for m in range(first, stop + 1):
+        for m in range(stop + 1):
             img = _bracket_image(spec, v, m, x, shift)
             if not img.is_zero():
                 yield k, m, img, sign
@@ -277,16 +276,17 @@ def _check_separations(ws: tuple, tau) -> None:
         AnnulusPoint(ws[-1] - w_k, tau)
 
 
-def stage_table(variant: str, context: NPointRequest, vs: tuple, ws: tuple | None = None):
+def stage_table(variant: str, context: NPointRequest, vs: tuple, ws: tuple):
     """The position-free stage table of one coboundary variant at insertion
     elements vs (n+1 entries, the last distinguished).
 
     context supplies the spec, sector and flux (its insertions are not
     read).  Returns the rows, a tuple of StageRow: the zero rows first,
-    then the kernel rows by (k, m).  The `main` admissibility check and
-    the branch selection run here.  Given complex
-    positions ws, the separations w_d - w_k are checked after the branch
-    selection, before any image is taken."""
+    then the kernel rows by (k, m).  The branch selection runs here, then
+    the check of the separations w_d - w_k at the complex positions ws,
+    before any image is taken.  A `main` table raises
+    AdmissibilityViolation at its first kernel row with m >= 1: that
+    variant applies only where v_d[m].x_k = 0 for m >= 1."""
     if variant not in VARIANTS:
         raise DomainViolation(f"unknown variant {variant!r}")
     spec = context.spec
@@ -295,14 +295,9 @@ def stage_table(variant: str, context: NPointRequest, vs: tuple, ws: tuple | Non
     wt_d, ch_d, par_d = element_weight_charge(spec, v_d)
     phi = phase(complex(wt_d))
     theta = phase(-ch_d * complex(context.params.z))
-    integer_weight = abs(phi - 1.0) <= 1e-12
+    integer_weight = wt_d % 1 == 0
     global_sign = -1.0 if par_d else 1.0
 
-    if variant == "main":
-        for _, m, _, _ in bracket_images(spec, v_d, wt_d, 0, base_vs, first=1):
-            raise AdmissibilityViolation(
-                f"v[{m}].v_k is nonzero; the plain-coefficient variant does not apply"
-            )
     if variant != "super":
         branch = select_branch(ch_d, context.params.z, tau) if integer_weight else None
     elif integer_weight and abs(theta - 1.0) <= 1e-12:
@@ -310,8 +305,7 @@ def stage_table(variant: str, context: NPointRequest, vs: tuple, ws: tuple | Non
         branch = select_branch(ch_d, context.params.z, tau)
     else:
         branch = None
-    if ws is not None:
-        _check_separations(ws, tau)
+    _check_separations(ws, tau)
 
     rows: list[StageRow] = []
     lattice = branch is not None and branch.kind == "lattice"
@@ -338,6 +332,10 @@ def stage_table(variant: str, context: NPointRequest, vs: tuple, ws: tuple | Non
     az = ch_d * complex(context.params.z)
     images = bracket_images(spec, v_d, wt_d, par_d, base_vs, shift=shift, strict=True)
     for k, m, img, sign in images:
+        if m and variant == "main":
+            raise AdmissibilityViolation(
+                f"v[{m}].v_k is nonzero; the plain-coefficient variant does not apply"
+            )
         # w = 0 holds the place of the separation, filled in at the positions
         name, args = kernel_spec(m + 1, tau.tau, 0j, k_branch, k_twist, az)
         rows.append(StageRow("kernel", k, m, name, args, global_sign * sign, image=img))
@@ -591,7 +589,7 @@ def reduce_negative_mode(req: NPointRequest, v: AlgebraElement, l: int) -> compl
     wt_v, ch_v, par_v = element_weight_charge(spec, v)
     if par_v and req.n >= 2:
         raise UnsupportedInsertion("odd insertions with extra slots are not supported here")
-    if abs(phase(complex(wt_v)) - 1.0) > 1e-12:
+    if wt_v % 1:
         raise UnsupportedInsertion("negative-mode rules need an integer-weight insertion")
     branch = select_branch(ch_v, req.params.z, req.params.tau)
     tau = req.params.tau

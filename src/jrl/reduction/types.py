@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 from ..errors import BranchUnresolved, DomainViolation, UnsupportedInsertion
 from ..specfun import specfun_kernel
-from ..specfun.points import ModularPoint, Truncation, phase
+from ..specfun.points import ModularPoint, Truncation
 from ..voa.algebra import (
     MAX_LEVEL_CAP,
     AlgebraElement,
@@ -29,7 +30,7 @@ class JacobiParams:
     zeta = e(z) is the flux; supertrace inserts the parity sign;
     include_c_shift uses q^{L(0) - c/24}; charge_weight_shift adds the
     given multiple of the charge to the weight exponent (charge-regraded
-    traces)."""
+    traces).  z and charge_weight_shift must be finite."""
 
     z: complex
     tau: ModularPoint
@@ -37,9 +38,10 @@ class JacobiParams:
     include_c_shift: bool = False
     charge_weight_shift: float = 0.0
 
-    @property
-    def zeta(self) -> complex:
-        return phase(self.z)
+    def __post_init__(self):
+        if not (cmath.isfinite(self.z) and math.isfinite(self.charge_weight_shift)):
+            got = f"{self.z}, {self.charge_weight_shift}"
+            raise DomainViolation(f"z and charge_weight_shift must be finite, got {got}")
 
     def trace_weights(self) -> TraceWeights:
         return TraceWeights(
@@ -89,7 +91,8 @@ def select_branch(alpha: float, z: complex, tau: ModularPoint) -> Branch:
 class NPointRequest:
     """An n-point trace to evaluate: ordered insertions (v_i, w_i) with
     0 < Im w_1 < ... < Im w_n < Im tau, over the sector Fock module of
-    `spec` truncated at level `cap`."""
+    `spec` truncated at level `cap`.  The sector entries and the
+    coefficients of the elements must be finite."""
 
     spec: AlgebraSpec
     sector: tuple[float, ...]
@@ -102,6 +105,8 @@ class NPointRequest:
     def __post_init__(self):
         if not self.cap <= MAX_LEVEL_CAP:
             raise DomainViolation(f"level cap must be at most {MAX_LEVEL_CAP}, got {self.cap}")
+        if not all(map(math.isfinite, self.sector)):
+            raise DomainViolation(f"sector entries must be finite, got {self.sector}")
         for v, _ in self.insertions:
             for state in v.terms:
                 if any(not 0 <= f < self.spec.rank for f, _ in state.boson):
@@ -109,10 +114,12 @@ class NPointRequest:
                         f"boson flavor in {state.boson} is out of range for rank {self.spec.rank}"
                     )
         for v, _ in self.insertions:
-            for state in v.terms:
+            for state, c in v.terms.items():
                 labels = [l for _, l in state.boson] + list(state.ferm_b + state.ferm_c)
                 if labels and min(labels) < 1:
                     raise DomainViolation(f"creator labels must be at least 1, got {state}")
+                if not cmath.isfinite(c):
+                    raise DomainViolation(f"insertion coefficients must be finite, got {c}")
         ws = [complex(w) for _, w in self.insertions]
         for i in range(len(ws)):
             for j in range(i + 1, len(ws)):

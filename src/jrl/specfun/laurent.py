@@ -89,7 +89,8 @@ def laurent_coeffs_p1(
     """Fit the first K series coefficients of an order-1 kernel around w = 0.
 
     kind: "plain" (P_1), "twisted" (P_{1,lam}, params["lam"] integer), or
-    "tilde" (Ptilde_1(., z), params["z"] complex).
+    "tilde" (Ptilde_1(., z), params["z"] complex).  A non-integer lam, or
+    a factor q_w^{-lam} past the float range, raises DomainViolation.
     """
     if K < 1:
         raise DomainViolation("need at least one coefficient")
@@ -114,8 +115,14 @@ def laurent_coeffs_p1(
         q_z = phase(z)
     values = _p1_strip(ws, tau, tr, q_z)
     if kind == "twisted":
+        lam = params["lam"]
+        if lam % 1:  # also true for an infinite or NaN lam
+            raise DomainViolation("twisted kernel requires an integer lattice parameter")
         # index shift identity: P_{1,lam} = q_w^{-lam} (P_1 + 1/2)
-        values = np.exp(TWO_PI_I * ws) ** (-int(params["lam"])) * (values + 0.5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.exp(TWO_PI_I * ws) ** (-int(lam)) * (values + 0.5)
+        if not np.isfinite(values).all():
+            raise DomainViolation(f"q_w^(-lam) overflows the float range at lam = {lam}")
     u = TWO_PI_I * ws
     basis = np.column_stack([1.0 / u, u[:, None] ** np.arange(n_coeffs)])
 

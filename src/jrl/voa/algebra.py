@@ -48,7 +48,7 @@ from ..errors import CapTooLarge, DomainViolation, UnsupportedInsertion
 
 MAX_LEVEL_CAP = 16
 _MAX_ENUM_CAP = 40.0
-_DEFAULT_STATE_BUDGET = 200_000
+STATE_BUDGET = 200_000
 
 
 @dataclass(frozen=True)
@@ -246,12 +246,6 @@ class ModuleSpace:
     def level(self, state: BasisState) -> float:
         return state_level(self.spec, state)
 
-    def weight(self, state: BasisState) -> float:
-        return sector_weight(self.spec, self.sector) + state_level(self.spec, state)
-
-    def charge(self, state: BasisState) -> float:
-        return state_charge(self.spec, self.sector, state)
-
     @cached_property
     def arrays(self) -> "FockArrays":
         """Array form of the basis, built on first use."""
@@ -393,11 +387,10 @@ def enumerate_basis(
     spec: AlgebraSpec,
     sector: tuple[float, ...] = (),
     cap: float = 8.0,
-    max_states: int = _DEFAULT_STATE_BUDGET,
 ) -> ModuleSpace:
     """All creator monomials with oscillator level <= cap, sorted by
-    (level, state).  Raises CapTooLarge when the cap or the state count
-    exceeds the enumeration budget."""
+    (level, state).  Raises CapTooLarge when the cap exceeds the
+    enumeration limit or the state count exceeds STATE_BUDGET."""
     if cap < 0:
         raise DomainViolation("level cap must be nonnegative")
     if cap > _MAX_ENUM_CAP:
@@ -426,7 +419,7 @@ def enumerate_basis(
     while stack:
         start, total, fields = stack.pop()
         found.append((total, BasisState(*fields)))
-        if len(found) > max_states:
+        if len(found) > STATE_BUDGET:
             raise CapTooLarge("state budget exceeded")
         for s in range(start, len(slots)):
             lvl = total + level[s]

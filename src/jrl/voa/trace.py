@@ -47,6 +47,7 @@ path then contributes where it ends on its own start state.  That walk,
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -114,6 +115,10 @@ class TraceWeights:
     charge_weight_shift: float = 0.0
 
 
+# the largest x with a finite exp(x)
+_LOG_MAX = math.log(sys.float_info.max)
+
+
 def _phases(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """phase() elementwise of re + i im: re reduced mod 1 before exponentiating."""
     f = np.empty(len(re), dtype=complex)
@@ -124,7 +129,8 @@ def _phases(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 
 
 def _weights(spec: AlgebraSpec, sector, level, charge, parity, tau: ModularPoint, tw: TraceWeights):
-    """Trace weight of states of the given level, charge and parity arrays."""
+    """Trace weight of states of the given level, charge and parity arrays.
+    A weight past the float range raises DomainViolation."""
     wt = sector_weight(spec, sector) + level + tw.charge_weight_shift * charge
     if tw.include_c_shift:
         wt -= spec.central_charge / 24.0
@@ -135,6 +141,8 @@ def _weights(spec: AlgebraSpec, sector, level, charge, parity, tau: ModularPoint
         z = complex(tw.flux_z)
         re += z.real * charge
         im += z.imag * charge
+    if not -2.0 * math.pi * im.min(initial=math.inf) <= _LOG_MAX:
+        raise DomainViolation(f"a trace weight overflows the float range at Im x = {im.min()}")
     f = _phases(re, im)
     if tw.supertrace:
         f[parity == 1] *= -1.0

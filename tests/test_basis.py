@@ -6,7 +6,7 @@ import itertools
 import pytest
 
 from jrl.errors import CapTooLarge
-from jrl.voa import AlgebraSpec, BasisState, enumerate_basis
+from jrl.voa import AlgebraSpec, BasisState, algebra, enumerate_basis
 
 HEIS = {r: AlgebraSpec(kind="heisenberg", rank=r) for r in (1, 2, 3)}
 RF = AlgebraSpec(kind="real_fermion")
@@ -76,10 +76,12 @@ def sector(spec):
     CASES,
     ids=[f"{s.kind}-{s.rank}-{s.grading}-{cap}" for s, cap in CASES],
 )
-def test_basis_matches_brute_force(spec, cap):
+def test_basis_matches_brute_force(spec, cap, monkeypatch):
     module = enumerate_basis(spec, sector(spec), cap)
     assert module.states == brute_force_basis(spec, cap)
-    # the budget is exceeded exactly when the count passes max_states
-    enumerate_basis(spec, sector(spec), cap, max_states=module.dim)
+    # the budget is exceeded exactly when the count passes STATE_BUDGET
+    monkeypatch.setattr(algebra, "STATE_BUDGET", module.dim)
+    enumerate_basis(spec, sector(spec), cap)
+    monkeypatch.setattr(algebra, "STATE_BUDGET", module.dim - 1)
     with pytest.raises(CapTooLarge):
-        enumerate_basis(spec, sector(spec), cap, max_states=module.dim - 1)
+        enumerate_basis(spec, sector(spec), cap)

@@ -231,6 +231,58 @@ def test_reduce_rejects_params_shift(tmp_path, value):
     assert "unknown fields in request.params: ['shift']" in r.stderr
 
 
+README_REQUEST = {
+    **BASE_REQUEST,
+    "cap": 8.0,
+    "insertions": [{"state": "J", "z": [0.0, 0.12]}, {"state": "J", "z": [0.0, 0.31]}],
+}
+
+
+@pytest.mark.parametrize(
+    "section, field, value",
+    [
+        (None, "sector", [math.nan]),
+        (None, "sector", [math.inf]),
+        ("params", "charge_weight_shift", math.nan),
+        ("insertions", 1, {"state": "J", "coefficient": [math.inf, 0], "z": [0.0, 0.31]}),
+        # finite, but the trace weights q^{wt} overflow
+        ("params", "charge_weight_shift", -1000),
+    ],
+    ids=[
+        "sector_nan", "sector_inf", "charge_weight_shift_nan", "coefficient_inf",
+        "charge_weight_shift_overflow",
+    ],
+)
+def test_reduce_refuses_fields_that_would_report_nan(tmp_path, section, field, value):
+    # each of these used to reduce to "value": [NaN, NaN] with exit 0
+    bad = json.loads(json.dumps(README_REQUEST))
+    (bad if section is None else bad[section])[field] = value
+    r = run_cli("reduce", request=bad, tmp_path=tmp_path)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "Traceback" not in r.stderr
+    assert json.loads(r.stdout)["error"]["type"] == "DomainViolation"
+
+
+@pytest.mark.parametrize(
+    "offset, code, error",
+    [(1e-7, 2, "BranchUnresolved"), (1e-3, 0, None)],
+    ids=["inside_the_band", "outside_the_band"],
+)
+def test_reduce_flux_near_the_lattice(tmp_path, offset, code, error):
+    # the distinguished c has charge -1, so alpha z = -(tau + offset): 1e-7
+    # from the lattice is inside the suspicion band, which picks no branch
+    doc = {
+        "schema": 1,
+        "algebra": {"kind": "complex_fermion", "grading": "charge_shifted"},
+        "cap": 3.0,
+        "params": {"z": [offset, 0.6], "tau": [0.0, 0.6]},
+        "insertions": [{"state": "b", "z": [0.0, 0.12]}, {"state": "c", "z": [0.3, 0.31]}],
+    }
+    r = run_cli("reduce", request=doc, tmp_path=tmp_path)
+    assert r.returncode == code, r.stdout + r.stderr
+    assert json.loads(r.stdout).get("error", {}).get("type") == error
+
+
 def test_reduce_oracle_takes_the_bilinear_field(tmp_path):
     # the direct trace takes the b-c bilinear as a field, so the oracle
     # check runs on a request whose distinguished insertion is J
@@ -366,6 +418,8 @@ def test_missing_request_file_exits_two(tmp_path):
         ("--fn", "E", "--k", "4", "--tau", "200i"),
         ("--fn", "Ptilde", "--m", "2", "--z", "400i", "--w", "0.1+0.2i", "--tau", "0.5i"),
         ("--fn", "Ptilde", "--m", "2", "--z=-400i", "--w", "0.1+0.2i", "--tau", "0.5i"),
+        ("--fn", "laurentP", "--kind", "twisted", "--lambda", "1e29", "--k", "2",
+         "--tau", "0.5i"),
     ],
     ids=[
         "P_order_zero", "laurent_order_13", "E_negative_index", "B_negative_index", "P_overflow",
@@ -373,7 +427,7 @@ def test_missing_request_file_exits_two(tmp_path):
         "laurent_strip_overflow", "laurent_flux_off_strip", "Etwist_power_overflow",
         "Ptwist_power_overflow", "E_nome_rounds_to_one", "P_nome_rounds_to_one",
         "Pdef_nome_underflow", "E_nome_underflow", "Ptilde_flux_underflow",
-        "Ptilde_flux_overflow",
+        "Ptilde_flux_overflow", "laurent_twisted_power_overflow",
     ],
 )
 def test_eval_out_of_domain_is_typed_error(args):

@@ -19,6 +19,7 @@ from jrl.reduction import (
     sample_grid,
     stage_contributions,
 )
+from reference_trace import perturbed_kz_residual
 
 TAU = ModularPoint(0.5j)
 Z0 = 0.23 - 0.11j
@@ -212,7 +213,7 @@ def test_kz_consistency_and_sensitivity():
     J = current_state(HEIS)
     clean = kz_residual(base, J, 0.31j)
     assert clean < 1e-8
-    perturbed = kz_residual(base, J, 0.31j, coefficient_scale=1.01)
+    perturbed = perturbed_kz_residual(base, J, 0.31j, 1.01)
     assert perturbed > 1e-3
 
 

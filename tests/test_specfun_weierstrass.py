@@ -255,6 +255,19 @@ def test_laurent_fit_tilde_rejects_flux_off_the_strip():
         laurent_coeffs_p1("tilde", {"z": 0.5j}, HALF_I, 4, TR)
 
 
+@pytest.mark.parametrize("lam", [1.5, math.inf, math.nan])
+def test_laurent_fit_twisted_rejects_a_fractional_lam(lam):
+    # int() would truncate 1.5 and return the lam = 1 fit
+    with pytest.raises(DomainViolation, match="integer lattice parameter"):
+        laurent_coeffs_p1("twisted", {"lam": lam}, HALF_I, 2, TR)
+
+
+def test_laurent_fit_twisted_rejects_a_power_past_the_float_range():
+    # q_w^(-lam) overflows on the sample circle, which would give NaN coefficients
+    with pytest.raises(DomainViolation, match="overflows"):
+        laurent_coeffs_p1("twisted", {"lam": 10**6}, HALF_I, 2, TR)
+
+
 def test_laurent_fit_rejects_unknown_kind():
     with pytest.raises(DomainViolation):
         laurent_coeffs_p1("nope", {}, HALF_I, 4, TR)

@@ -42,7 +42,19 @@ compared with one `diff` of their files.  The battery runs the program in
   on every request of the perfbench `reduction` pool;
 - `reduce_negative_mode` on the cases of `tests/test_reduction.py`, and
   at l = 1..3 on the lattice branch of the complex fermion at z = tau,
-  each as its repr or its typed error.
+  each as its repr or its typed error;
+- the outcome of inadmissible `main` stages: Heisenberg (J | J) at the
+  flux of the tests, inside the suspicion band of the lattice and with
+  its positions swapped, and the complex fermion (c(-2) | b), whose b is
+  charged, at the same two fluxes, each as its values or its typed error;
+- `cohomology_probe` rank, kernel dimension and singular values on the
+  two cases of `tests/test_coboundary.py`, and the clean `kz_residual` of
+  the `tests/test_acceptance.py` criterion-6 cases;
+- `jrl reduce` on the README request with a non-finite `sector` entry,
+  `charge_weight_shift` or insertion `coefficient`, and with
+  `charge_weight_shift` -1000; on the charge-shifted complex fermion
+  (b, c) at tau = 0.6i and z = tau + 1e-7 and tau + 1e-3; and
+  `jrl eval --fn laurentP --kind twisted --lambda 1e29`.
 
 Each CLI command runs in a fresh interpreter.  It takes under a minute.
 """
@@ -56,6 +68,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -68,13 +81,16 @@ from jrl.cli import ledger_to_json  # noqa: E402
 from jrl.reduction import (  # noqa: E402
     JacobiParams,
     NPointRequest,
+    cohomology_probe,
     identity_rec1,
     identity_zero_res,
+    kz_residual,
     oracle_family,
     reduce_full,
     reduce_negative_mode,
     reduce_step,
     reduction_family,
+    sample_grid,
     stage_contributions,
 )
 from jrl.reduction import steps  # noqa: E402
@@ -85,6 +101,7 @@ from jrl.voa import (  # noqa: E402
     VACUUM,
     AlgebraElement,
     AlgebraSpec,
+    BasisState,
     current_state,
     enumerate_basis,
     oscillator_state,
@@ -329,6 +346,96 @@ def negative_mode_battery(out) -> None:
         out.write(f"## reduce_negative_mode {name}\n{value}\n")
 
 
+def _outcome(fn) -> str:
+    try:
+        return repr(fn())
+    except JrlError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+# tau and flux of tests/test_coboundary.py, and a flux 1e-7 from the lattice point tau
+TESTS_TAU = ModularPoint(0.5j)
+TESTS_Z = 0.23 - 0.11j
+BAND_Z = TESTS_TAU.tau + 1e-7
+
+
+def _main_stage(spec, sector, z, vs, ws):
+    params = JacobiParams(z=z, tau=TESTS_TAU, supertrace=spec.kind == "complex_fermion")
+    base = NPointRequest(spec=spec, sector=sector, cap=6.0,
+                         insertions=tuple(zip(vs[:-1], ws[:-1])), params=params)
+    return [c.value for c in stage_contributions("main", base, reduction_family(base), vs, ws)]
+
+
+def admissibility_battery(out) -> None:
+    J = current_state(HEIS1)
+    c2, b = AlgebraElement.from_state(BasisState(ferm_c=(2,))), _S["b"]
+    cases = (
+        ("heisenberg (J | J)", HEIS1, (0.6,), TESTS_Z, (J, J), (0.12j, 0.31j)),
+        ("heisenberg (J | J) band", HEIS1, (0.6,), BAND_Z, (J, J), (0.12j, 0.31j)),
+        ("heisenberg (J | J) swapped", HEIS1, (0.6,), TESTS_Z, (J, J), (0.31j, 0.12j)),
+        ("complex fermion (c(-2) | b)", workloads.CFERM, (), TESTS_Z, (c2, b), (0.12j, 0.31j)),
+        ("complex fermion (c(-2) | b) band", workloads.CFERM, (), BAND_Z, (c2, b),
+         (0.12j, 0.31j)),
+    )
+    for name, *case in cases:
+        out.write(f"## main stage {name}\n{_outcome(lambda: _main_stage(*case))}\n")
+
+
+def probe_battery(out) -> None:
+    grid = sample_grid(1, TESTS_TAU.tau, n_samples=6, seed=0x4A43)
+    params = JacobiParams(z=TESTS_Z, tau=TESTS_TAU)
+    cases = (
+        ("complex fermion b",
+         NPointRequest(spec=workloads.CFERM, sector=(), cap=8.0, insertions=(),
+                       params=replace(params, supertrace=True)),
+         _S["b"]),
+        ("heisenberg J", NPointRequest(spec=HEIS1, sector=(0.6,), cap=8.0, insertions=(),
+                                       params=params), current_state(HEIS1)),
+    )
+    for name, base, v in cases:
+        res = cohomology_probe("simplest", v, [oracle_family(base)], base, grid)
+        out.write(f"## cohomology_probe {name}\n{res.rank} {res.kernel_dim} "
+                  f"{res.singular_values!r}\n")
+    heis2 = AlgebraSpec(kind="heisenberg", rank=2)
+    kz_cases = (
+        (NPointRequest(spec=HEIS1, sector=(0.6,), cap=8.0,
+                       insertions=((current_state(HEIS1), 0.12j),), params=params),
+         current_state(HEIS1), 0.31j),
+        (NPointRequest(spec=heis2, sector=(0.7, 0.3), cap=6.0,
+                       insertions=((oscillator_state("a", 1, flavor=0), 0.12j),), params=params),
+         oscillator_state("a", 1, flavor=1), 0.42j),
+    )
+    for i, (base, v, w) in enumerate(kz_cases):
+        out.write(f"## kz_residual criterion 6 case {i}\n{kz_residual(base, v, w)!r}\n")
+
+
+def refusal_battery(out, tmp: Path) -> None:
+    docs = []
+    nan, inf = float("nan"), float("inf")
+    for section, field, value in (
+        (None, "sector", [nan]),
+        (None, "sector", [inf]),
+        ("params", "charge_weight_shift", nan),
+        ("params", "charge_weight_shift", -1000),
+        ("insertions", 1, {"state": "J", "coefficient": [inf, 0], "z": [0.0, 0.31]}),
+    ):
+        doc = json.loads(json.dumps(README_REQUEST))
+        (doc if section is None else doc[section])[field] = value
+        docs.append((f"{section}.{field} = {value}", doc))
+    for offset in (1e-7, 1e-3):
+        docs.append((f"complex fermion z = tau + {offset}", {
+            "schema": 1, "algebra": {"kind": "complex_fermion", "grading": "charge_shifted"},
+            "cap": 3.0, "params": {"z": [offset, 0.6], "tau": [0.0, 0.6]},
+            "insertions": [{"state": "b", "z": [0.0, 0.12]}, {"state": "c", "z": [0.3, 0.31]}],
+        }))
+    for i, (name, doc) in enumerate(docs):
+        path = tmp / f"refusal-{i}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out.write(f"# reduce {name}\n")
+        cli(out, ["reduce", "--request", str(path)])
+    cli(out, ["eval", *"--fn laurentP --kind twisted --lambda 1e29 --k 2 --tau 0.5i".split()])
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
@@ -343,6 +450,9 @@ def main(argv: list[str]) -> int:
         twisted_battery(out)
         step_battery(out)
         negative_mode_battery(out)
+        admissibility_battery(out)
+        probe_battery(out)
+        refusal_battery(out, Path(tmp))
     return 0
 
 
