@@ -10,7 +10,11 @@ samples on a seeded grid.
 All four variants are read from the one stage table `steps.stage_table`;
 a stage contribution is one of its rows read at the positions by
 `StageRow.at` and evaluated on the family, so "simplest" is the
-reduce_step table by construction.
+reduce_step table by construction.  The table is free of the positions,
+so a family made by coboundary_apply builds it once per tuple of
+elements and keeps it for its own lifetime: the chain condition and the
+probe, which evaluate one family on a grid of positions, take each
+square-bracket image once per family.  Nothing is kept between families.
 
 Variants:
   simplest  branch-selected kernels: the rows of reduce_step
@@ -30,7 +34,7 @@ import numpy as np
 
 from ..errors import DomainViolation, GridDegenerate
 from ..voa.algebra import AlgebraElement
-from .steps import VARIANTS, reduce_full, stage_table
+from .steps import VARIANTS, _check_separations, reduce_full, stage_table
 from .types import NPointRequest, npoint_oracle
 
 
@@ -81,14 +85,28 @@ def stage_contributions(
     family: FunctionFamily,
     vs: tuple[AlgebraElement, ...],
     ws: tuple[complex, ...],
+    tables: dict | None = None,
 ) -> list[StageContribution]:
     """Contributions of one coboundary stage at insertion data (vs, ws):
     the stage rows of `variant`, each child evaluated on `family`.
 
-    vs/ws carry n+1 entries; the last is the distinguished insertion."""
+    vs/ws carry n+1 entries; the last is the distinguished insertion.
+    `tables`, where given, holds the stage tables of earlier calls with the
+    same variant, context and family, keyed by the element keys of vs: a
+    table found there is read after the separation checks alone, and a
+    table built here joins it once it has built without raising."""
     ws = tuple(map(complex, ws))
+    if tables is None:
+        rows = stage_table(variant, context, vs, ws)
+    else:
+        key = tuple(v.key() for v in vs)
+        rows = tables.get(key)
+        if rows is None:
+            rows = tables[key] = stage_table(variant, context, vs, ws)
+        else:
+            _check_separations(ws, context.params.tau)
     out: list[StageContribution] = []
-    for row in stage_table(variant, context, vs, ws):
+    for row in rows:
         scale, kernel, _, child, leaf = row.at(context, vs, ws)
         if leaf is None:
             leaf = family.evaluate(child, ws[:-1])
@@ -102,10 +120,15 @@ def coboundary_apply(
     family: FunctionFamily,
     context: NPointRequest,
 ) -> FunctionFamily:
-    """The (n+1)-point family (delta^n family) with v_next in the new slot."""
+    """The (n+1)-point family (delta^n family) with v_next in the new slot.
+
+    The family keeps the stage table of each element tuple it is evaluated
+    at, so a later evaluation at new positions takes no square-bracket
+    image; the tables live as long as the family does."""
+    tables: dict = {}
 
     def fn(vs: tuple[AlgebraElement, ...], ws: tuple[complex, ...]) -> complex:
-        contribs = stage_contributions(variant, context, family, vs, ws)
+        contribs = stage_contributions(variant, context, family, vs, ws, tables)
         return sum((c.value for c in contribs), 0.0 + 0.0j)
 
     return FunctionFamily(

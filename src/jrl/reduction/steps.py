@@ -94,11 +94,12 @@ def _bracket_image(spec: AlgebraSpec, v: AlgebraElement, m: int, x: AlgebraEleme
     holds x and the image.
 
     v(j) lowers the level by j - wt + 1 with j >= m, so the image lies at
-    most wt - 1 - m levels above the top level of x; the cap covers that,
-    and is never below 6."""
+    most wt - 1 - m levels above the top level of x; the cap is the
+    smallest integer that covers x and that level, so the round modes of
+    v emit only the monomials that can reach x."""
     top = max((state_level(spec, s) for s in x.terms), default=0.0)
     wt = max((state_level(spec, s) for s in v.terms), default=0.0)
-    vac = vacuum_module(spec, float(max(6, math.ceil(top + max(wt - 1 - m, 0)))))
+    vac = vacuum_module(spec, float(math.ceil(top + max(wt - 1 - m, 0))))
     return square_bracket_image(vac, v, m, x, shift)
 
 

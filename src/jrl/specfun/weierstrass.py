@@ -102,7 +102,7 @@ def weier_p(m: int, p: AnnulusPoint, tr: Truncation) -> complex:
 
 def weier_p_twisted(m: int, lam: int, p: AnnulusPoint, tr: Truncation) -> complex:
     """P_{m,lam}(w, tau) = ((-1)^m/(m-1)!) sum_{n != -lam} n^{m-1} q_w^n / (1 - q^{n+lam})."""
-    if lam != int(lam):
+    if lam % 1:  # also true for an infinite or NaN lam
         raise DomainViolation("twisted kernel requires an integer lattice parameter")
     return _mode_sum(m, p, tr, shift=int(lam))
 

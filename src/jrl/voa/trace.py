@@ -46,6 +46,7 @@ path then contributes where it ends on its own start state.  That walk,
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -258,6 +259,14 @@ def _closing_paths(module: ModuleSpace, layers: list, amp: np.ndarray, close) ->
     descend(innermost, every, every, amp, 0.0, ())
 
 
+def _finite(total: complex) -> complex:
+    """total, which must be finite: a path amplitude past the float range
+    makes a sum inf or NaN even where the trace itself is a float."""
+    if not cmath.isfinite(total):
+        raise DomainViolation("trace sum is not finite: a path amplitude passes the float range")
+    return total
+
+
 def graded_trace(
     module: ModuleSpace,
     insertions: Sequence[tuple[AlgebraElement, complex]],
@@ -279,8 +288,10 @@ def graded_trace(
         nonlocal total
         total += coeff * (amp[diag].sum() if diag.dtype == bool else np.dot(diag, amp))
 
-    _closing_paths(module, [_field_terms(module, v, w) for v, w in insertions], weights, close)
-    return complex(total)
+    layers = [_field_terms(module, v, w) for v, w in insertions]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused by _finite
+        _closing_paths(module, layers, weights, close)
+    return _finite(complex(total))
 
 
 class TraceTensor:
@@ -314,7 +325,7 @@ class TraceTensor:
             raise DomainViolation(f"tensor expects {self.shifts.shape[1]} positions, got {len(ws)}")
         weights = _weights(self.spec, self.sector, self.level, self.charge, self.parity, tau, tw)
         dress = _phases(self.shifts @ ws.real, self.shifts @ ws.imag)
-        return complex(dress @ (self.table @ weights))
+        return _finite(complex(dress @ (self.table @ weights)))
 
 
 def trace_tensor(

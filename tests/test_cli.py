@@ -8,6 +8,7 @@ import pytest
 
 from jrl.specfun import AnnulusPoint, ModularPoint, Truncation, weier_p
 from jrl.specfun.points import MAX_ORDER, phase
+from test_cli_fuzz import REDUCE as FUZZ_REDUCE, _refuse_constant
 
 BASE_REQUEST = {
     "schema": 1,
@@ -261,6 +262,26 @@ def test_reduce_refuses_fields_that_would_report_nan(tmp_path, section, field, v
     assert r.returncode == 2, r.stdout + r.stderr
     assert "Traceback" not in r.stderr
     assert json.loads(r.stdout)["error"]["type"] == "DomainViolation"
+
+
+@pytest.mark.parametrize(
+    "coefficient, oracle, code",
+    [(1e300, True, 2), (1e300, False, 0), (1e200, True, 0), (1e200, False, 0)],
+    ids=["1e300_oracle", "1e300", "1e200_oracle", "1e200"],
+)
+def test_reduce_refuses_an_oracle_past_the_float_range(tmp_path, coefficient, oracle, code):
+    # at 1e300 the reduction is 6.98e299 + 8.23e299i, while the direct
+    # trace's path amplitudes overflow: it used to report the oracle as NaN
+    doc = json.loads(json.dumps(FUZZ_REDUCE[0]))
+    doc["insertions"][1]["coefficient"] = [coefficient, 0.0]
+    r = run_cli("reduce", *(["--oracle"] if oracle else []), request=doc, tmp_path=tmp_path)
+    assert r.returncode == code, r.stdout + r.stderr
+    assert r.stderr == ""
+    report = json.loads(r.stdout, parse_constant=_refuse_constant)
+    if code == 2:
+        assert report["error"]["type"] == "DomainViolation"
+    else:
+        assert all(c["pass"] for c in report["checks"])
 
 
 @pytest.mark.parametrize(

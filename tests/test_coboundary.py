@@ -3,6 +3,7 @@ import pytest
 from jrl.errors import AdmissibilityViolation, DomainViolation, GridDegenerate
 from jrl.specfun import ModularPoint
 from jrl.voa import AlgebraSpec, current_state, oscillator_state
+from jrl.reduction import coboundary
 from jrl.reduction import (
     VARIANTS,
     JacobiParams,
@@ -231,3 +232,67 @@ def test_stage_values_are_reduce_step_terms_exactly():
     ]
     for t, c in zip(step, contribs):
         assert c.value == t.scale * t.kernel * reduce_full(t.child)[0]
+
+
+def counted_stage_tables(monkeypatch) -> list:
+    """The argument tuples of every stage_table call that coboundary makes."""
+    calls = []
+    build = coboundary.stage_table
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(coboundary, "stage_table", counted)
+    return calls
+
+
+@pytest.mark.parametrize("variant", ["simplest", "super", "shifted"])
+def test_family_reads_its_stage_tables_at_new_positions(monkeypatch, variant):
+    # the current applied twice to <J>: the outer family and the inner one
+    # both keep the tables of their first evaluation
+    J = current_state(HEIS)
+    base = heis_base(n=1)
+
+    def family():
+        once = coboundary_apply(variant, J, reduction_family(base), base)
+        return coboundary_apply(variant, J, once, base)
+
+    vs = (J, J, J)
+    ws = (0.1 + 0.14j, -0.2 + 0.29j, 0.3 + 0.4j)
+    twice = family()
+    twice.evaluate(vs, (0.12j, 0.31j, 0.42j))
+    calls = counted_stage_tables(monkeypatch)
+    got = twice.evaluate(vs, ws)
+    assert calls == []
+    fresh = family().evaluate(vs, ws)
+    assert len(calls) > 1
+    assert got == fresh and abs(got) > 1e-6
+
+
+def test_kept_stage_tables_still_check_the_separations():
+    J = current_state(HEIS)
+    base = heis_base(n=1)
+    fam = coboundary_apply("simplest", J, reduction_family(base), base)
+    fam.evaluate((J, J), (0.12j, 0.31j))
+    # w_d - w_k = -0.19i lies outside the annulus 0 < Im w < Im tau
+    bad = (0.31j, 0.12j)
+    with pytest.raises(DomainViolation) as kept:
+        fam.evaluate((J, J), bad)
+    with pytest.raises(DomainViolation) as fresh:
+        coboundary_apply("simplest", J, reduction_family(base), base).evaluate((J, J), bad)
+    assert str(kept.value) == str(fresh.value)
+
+
+def test_a_table_that_raised_is_not_kept(monkeypatch):
+    J = current_state(HEIS)
+    base = heis_base(n=1)
+    fam = coboundary_apply("main", J, reduction_family(base), base)
+    calls = counted_stage_tables(monkeypatch)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(AdmissibilityViolation) as exc:
+            fam.evaluate((J, J), (0.12j, 0.31j))
+        messages.append(str(exc.value))
+    assert len(calls) == 2
+    assert messages[0] == messages[1]

@@ -39,7 +39,9 @@ from jrl.voa import (
     square_bracket_image,
     state_level,
 )
+from jrl.reduction.steps import _bracket_image
 from jrl.voa.algebra import _round_modes, mode_image
+from jrl.voa.squarebracket import last_mode
 
 Z0 = 0.23 - 0.11j
 CF = AlgebraSpec(kind="complex_fermion", grading="charge_shifted")
@@ -183,7 +185,7 @@ def test_direct_trace_and_reduction_agree(req):
         assert abs(oracle - reduced) <= 1e-4 * abs(reduced), (oracle, reduced)
 
 
-# the supported shapes on the cap-6 vacuum modules of the reduction
+# the supported shapes, on cap-6 vacuum modules
 H2J = AlgebraSpec(kind="heisenberg", rank=2, current=(1.0, -0.5))
 BOUND_CASES = {
     "heisenberg": (
@@ -279,6 +281,22 @@ def test_square_bracket_images_stop_at_the_target_level(kind):
                     assert got.plus(want.scaled(-1.0)).norm1() <= 1e-12 * max(1.0, want.norm1())
             # the shifted images sum the same zero tail
             assert square_bracket_image(module, v, last + 1, x, 0.7).is_zero()
+
+
+@pytest.mark.parametrize("kind", sorted(BOUND_CASES))
+def test_sized_image_modules_give_the_images_of_a_larger_module(kind):
+    # the reduction takes v[m]_shift.x on the smallest vacuum module that
+    # holds x and the image; a cap-8 module gives the same terms, bit for bit
+    spec, sector, shapes = BOUND_CASES[kind]
+    roomy = enumerate_basis(spec, sector, 8.0)
+    targets = [AlgebraElement.from_state(s) for s in roomy.states if state_level(spec, s) <= 4]
+    for v in shapes:
+        h = max(state_level(spec, s) for s in v.terms)
+        for x in targets:
+            for m in range(last_mode(spec, h, x) + 1):
+                for shift in (0, 0.7, -1):
+                    got = _bracket_image(spec, v, m, x, shift)
+                    assert got.key() == square_bracket_image(roomy, v, m, x, shift).key()
 
 
 @pytest.mark.parametrize(

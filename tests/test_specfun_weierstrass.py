@@ -262,6 +262,14 @@ def test_laurent_fit_twisted_rejects_a_fractional_lam(lam):
         laurent_coeffs_p1("twisted", {"lam": lam}, HALF_I, 2, TR)
 
 
+@pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan, 1.5])
+def test_twisted_kernel_rejects_a_lam_that_is_not_an_integer(lam):
+    # int() of an infinite or NaN lam raised OverflowError or ValueError
+    p = AnnulusPoint(0.1 + 0.2j, HALF_I)
+    with pytest.raises(DomainViolation, match="integer lattice parameter"):
+        weier_p_twisted(1, lam, p, TR)
+
+
 def test_laurent_fit_twisted_rejects_a_power_past_the_float_range():
     # q_w^(-lam) overflows on the sample circle, which would give NaN coefficients
     with pytest.raises(DomainViolation, match="overflows"):

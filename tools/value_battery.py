@@ -53,8 +53,16 @@ compared with one `diff` of their files.  The battery runs the program in
 - `jrl reduce` on the README request with a non-finite `sector` entry,
   `charge_weight_shift` or insertion `coefficient`, and with
   `charge_weight_shift` -1000; on the charge-shifted complex fermion
-  (b, c) at tau = 0.6i and z = tau + 1e-7 and tau + 1e-3; and
-  `jrl eval --fn laurentP --kind twisted --lambda 1e29`.
+  (b, c) at tau = 0.6i and z = tau + 1e-7 and tau + 1e-3;
+  `jrl eval --fn laurentP --kind twisted --lambda 1e29`; `jrl reduce` with
+  and without `--oracle` on the `tests/test_cli_fuzz.py` Heisenberg
+  request whose second coefficient is 1e300 or 1e200; and P_{1,lam} at lam
+  = inf, -inf, NaN and 1.5, each as its repr or its error;
+- the square-bracket images v[m]_shift.x that the reduction takes
+  (`steps._bracket_image`) for the shapes v of
+  `tests/test_composite_insertions.py` `BOUND_CASES`, every basis state x
+  up to level 4, m from 0 to `last_mode` and shift in {0, 0.7, -1}, as
+  the repr of their terms.
 
 Each CLI command runs in a fresh interpreter.  It takes under a minute.
 """
@@ -74,6 +82,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
+import test_cli_fuzz  # noqa: E402
+import test_composite_insertions  # noqa: E402
 import test_plans  # noqa: E402
 import test_reduction  # noqa: E402
 import workloads  # noqa: E402
@@ -105,8 +115,10 @@ from jrl.voa import (  # noqa: E402
     current_state,
     enumerate_basis,
     oscillator_state,
+    state_level,
     working_module,
 )
+from jrl.voa.squarebracket import last_mode  # noqa: E402
 
 EVAL_SEEDS = (61, 62, 63, 64, 301)
 README_REQUEST = {
@@ -434,6 +446,35 @@ def refusal_battery(out, tmp: Path) -> None:
         out.write(f"# reduce {name}\n")
         cli(out, ["reduce", "--request", str(path)])
     cli(out, ["eval", *"--fn laurentP --kind twisted --lambda 1e29 --k 2 --tau 0.5i".split()])
+    fuzz = test_cli_fuzz.REDUCE[0]
+    for coefficient in (1e300, 1e200):
+        doc = json.loads(json.dumps(fuzz))
+        doc["insertions"][1]["coefficient"] = [coefficient, 0.0]
+        path = tmp / f"coefficient-{coefficient:g}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out.write(f"# reduce fuzz request, coefficient {coefficient:g}\n")
+        cli(out, ["reduce", "--oracle", "--request", str(path)])
+        cli(out, ["reduce", "--request", str(path)])
+    p = AnnulusPoint(TWIST_WS[0], TWIST_TAU)
+    for lam in (float("inf"), float("-inf"), float("nan"), 1.5):
+        try:
+            value = repr(weier_p_twisted(1, lam, p, Truncation()))
+        except Exception as exc:  # a checkout may raise an untyped error here
+            value = f"{type(exc).__name__}: {exc}"
+        out.write(f"## twisted m 1 lam {lam!r}\n{value}\n")
+
+
+def sized_image_battery(out) -> None:
+    for kind, (spec, sector, shapes) in sorted(test_composite_insertions.BOUND_CASES.items()):
+        targets = [AlgebraElement.from_state(s) for s in enumerate_basis(spec, sector, 4.0).states]
+        for i, v in enumerate(shapes):
+            h = max(state_level(spec, s) for s in v.terms)
+            out.write(f"## bracket images {kind} shape {i}\n")
+            for x in targets:
+                for m in range(last_mode(spec, h, x) + 1):
+                    for shift in (0, 0.7, -1):
+                        img = steps._bracket_image(spec, v, m, x, shift)
+                        out.write(f"{m} {shift} {x.key()!r} {img.key()!r}\n")
 
 
 def main(argv: list[str]) -> int:
@@ -453,6 +494,7 @@ def main(argv: list[str]) -> int:
         admissibility_battery(out)
         probe_battery(out)
         refusal_battery(out, Path(tmp))
+        sized_image_battery(out)
     return 0
 
 
