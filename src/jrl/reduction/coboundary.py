@@ -15,6 +15,7 @@ so a family made by coboundary_apply builds it once per tuple of
 elements and keeps it for its own lifetime: the chain condition and the
 probe, which evaluate one family on a grid of positions, take each
 square-bracket image once per family.  Nothing is kept between families.
+Every stage checks its separations before it reads or builds a table.
 
 Variants:
   simplest  branch-selected kernels: the rows of reduce_step
@@ -28,6 +29,7 @@ Variants:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,7 +37,7 @@ import numpy as np
 from ..errors import DomainViolation, GridDegenerate
 from ..voa.algebra import AlgebraElement
 from .steps import VARIANTS, _check_separations, reduce_full, stage_table
-from .types import NPointRequest, npoint_oracle
+from .types import NPointRequest, homogeneous_parts, npoint_oracle
 
 
 @dataclass(frozen=True)
@@ -63,11 +65,16 @@ def oracle_family(req: NPointRequest) -> FunctionFamily:
 
 
 def reduction_family(req: NPointRequest) -> FunctionFamily:
-    return FunctionFamily(
-        n=req.n,
-        base_elements=tuple(v for v, _ in req.insertions),
-        fn=lambda vs, ws: reduce_full(req.with_insertions(tuple(zip(vs, ws))))[0],
-    )
+    """The family of reduce_full values.  An n-point function is linear in
+    each slot, so at elements that mix weights, such as the square-bracket
+    images of a boson pair, it is the sum over the homogeneous parts."""
+
+    def fn(vs, ws):
+        parts = product(*(homogeneous_parts(req.spec, v) for v in vs))
+        values = [reduce_full(req.with_insertions(tuple(zip(p, ws))))[0] for p in parts]
+        return values[0] if len(values) == 1 else sum(values, 0.0 + 0.0j)
+
+    return FunctionFamily(n=req.n, base_elements=tuple(v for v, _ in req.insertions), fn=fn)
 
 
 @dataclass(frozen=True)
@@ -90,21 +97,18 @@ def stage_contributions(
     """Contributions of one coboundary stage at insertion data (vs, ws):
     the stage rows of `variant`, each child evaluated on `family`.
 
-    vs/ws carry n+1 entries; the last is the distinguished insertion.
+    vs/ws carry n+1 entries; the last is the distinguished insertion.  The
+    separations are checked first, before any table is read or built.
     `tables`, where given, holds the stage tables of earlier calls with the
-    same variant, context and family, keyed by the element keys of vs: a
-    table found there is read after the separation checks alone, and a
+    same variant, context and family, keyed by the element keys of vs; a
     table built here joins it once it has built without raising."""
     ws = tuple(map(complex, ws))
-    if tables is None:
-        rows = stage_table(variant, context, vs, ws)
-    else:
-        key = tuple(v.key() for v in vs)
-        rows = tables.get(key)
-        if rows is None:
-            rows = tables[key] = stage_table(variant, context, vs, ws)
-        else:
-            _check_separations(ws, context.params.tau)
+    _check_separations(ws, context.params.tau)
+    tables = {} if tables is None else tables
+    key = tuple(v.key() for v in vs)
+    rows = tables.get(key)
+    if rows is None:
+        rows = tables[key] = stage_table(variant, context, vs)
     out: list[StageContribution] = []
     for row in rows:
         scale, kernel, _, child, leaf = row.at(context, vs, ws)

@@ -26,8 +26,10 @@ table `stage_table`, and a row is read at the positions by `StageRow.at`:
 `reduce_step` reads the "simplest" rows, each with its child request,
 and `coboundary.stage_contributions` reads the rows of any variant on a
 FunctionFamily.  `reduce_full` builds the whole tree of "simplest" tables
-once per request family, as a `ReductionPlan`, and evaluates it at each
-request's positions.  The negative-mode rule and the identity residuals
+once per request family, a plan without positions (`_cached_plan`), and
+evaluates it at each request's positions.  Every reader checks its
+positions (`_check_separations`) once, before it reads or builds a table.
+The negative-mode rule and the identity residuals
 read the same square-bracket images (`bracket_images`) and zero modes:
 the negative-mode rule sweeps v[m].x_k over m, the identities read one
 lattice-shifted image v[0]_beta.x_k per slot, and the "shifted" rows
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 
 from ..errors import (
     AdmissibilityViolation,
@@ -277,17 +279,18 @@ def _check_separations(ws: tuple, tau) -> None:
         AnnulusPoint(ws[-1] - w_k, tau)
 
 
-def stage_table(variant: str, context: NPointRequest, vs: tuple, ws: tuple):
+def stage_table(variant: str, context: NPointRequest, vs: tuple):
     """The position-free stage table of one coboundary variant at insertion
     elements vs (n+1 entries, the last distinguished).
 
     context supplies the spec, sector and flux (its insertions are not
     read).  Returns the rows, a tuple of StageRow: the zero rows first,
-    then the kernel rows by (k, m).  The branch selection runs here, then
-    the check of the separations w_d - w_k at the complex positions ws,
-    before any image is taken.  A `main` table raises
-    AdmissibilityViolation at its first kernel row with m >= 1: that
-    variant applies only where v_d[m].x_k = 0 for m >= 1."""
+    then the kernel rows by (k, m).  The branch selection runs here,
+    before any image is taken.  The table reads no position: its readers
+    check their separations (`_check_separations`) before they read or
+    build it.  A `main` table raises AdmissibilityViolation at its first
+    kernel row with m >= 1: that variant applies only where
+    v_d[m].x_k = 0 for m >= 1."""
     if variant not in VARIANTS:
         raise DomainViolation(f"unknown variant {variant!r}")
     spec = context.spec
@@ -306,7 +309,6 @@ def stage_table(variant: str, context: NPointRequest, vs: tuple, ws: tuple):
         branch = select_branch(ch_d, context.params.z, tau)
     else:
         branch = None
-    _check_separations(ws, tau)
 
     rows: list[StageRow] = []
     lattice = branch is not None and branch.kind == "lattice"
@@ -351,118 +353,73 @@ def stage_table(variant: str, context: NPointRequest, vs: tuple, ws: tuple):
 class _PlanNode:
     """The reduction of one tuple of elements: its "simplest" stage rows,
     each with the plan of its child (None for a zero-mode trace), or the
-    zero-point value at n = 0.
+    zero-point value at n = 0.  A node holds no position.
 
     `size` counts the numbers an evaluation records for the subtree: per
     row its kernel (a zero row: its scale), the child's records and the
     child's value.  Rows with an inhomogeneous image come once per
-    homogeneous part of it.  The positions ws of the build only serve the
-    separation checks of `stage_table`."""
+    homogeneous part of it."""
 
     __slots__ = ("n", "vs", "rows", "leaf", "size")
 
-    def __init__(self, family: NPointRequest, vs: tuple, ws: tuple, nodes: dict, leaf_value):
+    def __init__(self, family: NPointRequest, vs: tuple, nodes: dict):
         self.n = len(vs)
         self.vs = vs
-        self.leaf = leaf_value() if not vs else None
+        params = family.params
+        # the one zero-point node of a plan: every leaf has the family's
+        # module, tau and trace weights
+        self.leaf = None if vs else partition_function(
+            family.module(), params.tau, params.trace_weights()
+        )
         rows = []
-        for row in stage_table("simplest", family, vs, ws[: self.n]) if vs else ():
+        for row in stage_table("simplest", family, vs) if vs else ():
             # (row, child node, kernel key): the kernel key names the kernel
             # of a kernel row, which is the same wherever (name, args, d, k) are
             if row.kind == "kernel":
                 base = vs[:-1]
                 kkey = (row.name, self.n, row.k, tuple(row.args.items()))
                 for part in homogeneous_parts(family.spec, row.image):
-                    child = _node(family, _slot(base, row.k, part), ws, nodes, leaf_value)
-                    rows.append((row, child, kkey))
+                    rows.append((row, _node(family, _slot(base, row.k, part), nodes), kkey))
             elif row.trace_lam is not None:
                 rows.append((row, None, None))
             else:
-                rows.append((row, _node(family, vs[:-1], ws, nodes, leaf_value), None))
+                rows.append((row, _node(family, vs[:-1], nodes), None))
         self.rows = tuple(rows)
         self.size = sum(2 + (child.size if child is not None else 0) for _, child, _ in rows)
 
 
-def _node(family: NPointRequest, vs: tuple, ws: tuple, nodes: dict, leaf_value) -> _PlanNode:
+def _node(family: NPointRequest, vs: tuple, nodes: dict) -> _PlanNode:
     """The node of vs, shared by every occurrence in one plan."""
     key = tuple(v.key() for v in vs)
     node = nodes.get(key)
     if node is None:
-        node = nodes[key] = _PlanNode(family, vs, ws, nodes, leaf_value)
+        node = nodes[key] = _PlanNode(family, vs, nodes)
     return node
 
 
-class ReductionPlan:
-    """The reduce_full tree of one request family: everything but the
-    positions.
-
-    The family is a request without insertions (spec, sector, cap,
-    headroom, flux, tau, truncation), together with the insertion
-    elements.  The plan holds the branch, the square-bracket images, the
-    child structure and the zero-point value; `evaluate` adds the kernels
-    at w_d - w_k, the position-dependent zero rows, the separation checks
-    and the degeneracy test, in the order and with the arithmetic of a
-    direct recursion, so its values are the same bit for bit."""
-
-    __slots__ = ("family", "vs", "root")
-
-    def __init__(self, family: NPointRequest, vs: tuple[AlgebraElement, ...]):
-        self.family = family
-        self.vs = vs
-        self.root = None
-
-    def _build(self, ws: tuple) -> _PlanNode:
-        family, params = self.family, self.family.params
-        # one zero-point function per plan, computed when a leaf needs it:
-        # every leaf has the family's module, tau and trace weights
-        leaf_value = cache(
-            lambda: partition_function(family.module(), params.tau, params.trace_weights())
-        )
-        return _node(family, self.vs, ws, {}, leaf_value)
-
-    def evaluate(self, ws) -> tuple[complex, CoefficientLedger]:
-        """(value, ledger) of the reduction at positions ws, one per insertion.
-
-        The first evaluation builds the tree, stage by stage as a direct
-        recursion meets them, so a request with bad positions raises where
-        that recursion would; a build that raises leaves no tree behind."""
-        ws = tuple(map(complex, ws))
-        if len(ws) != len(self.vs):
-            raise DomainViolation(f"plan expects {len(self.vs)} positions, got {len(ws)}")
-        if self.root is None:
-            self.root = self._build(ws)
-        if not ws:
-            leaf = self.root.leaf
-            return leaf, CoefficientLedger(n=0, value=leaf, terms=(), is_leaf=True)
-        out: list = []
-        value = _evaluate(self.root, ws, self.family, {}, out)
-        return value, _PlanLedger.view(self.root, ws, tuple(out), 0, value)
-
-
-def _evaluate(node: _PlanNode, ws: tuple, family: NPointRequest, kernels: dict, out: list):
-    """The value of node at ws[:node.n], recording into out; kernels
-    memoises the kernel values of one evaluation."""
+def _evaluate(node: _PlanNode, ws: tuple, context: NPointRequest, kernels: dict, out: list):
+    """The value of node at ws[:node.n], whose separations the caller has
+    checked, recording into out; context supplies the module, flux, tau
+    and truncation, and kernels memoises the kernel values of one
+    evaluation."""
     if node.leaf is not None:
         return node.leaf
     ws_n = ws[: node.n]
-    tr = family.truncation
-    # as in a direct stage: the zero rows (they come first), the
-    # separations, then the kernels, each distinct one once per evaluation
+    tr = context.truncation
+    # as in a direct stage: the zero rows (they come first), then the
+    # kernels, each distinct one once per evaluation
     xs: list = []
     leaves: list = []
     for row, _, kkey in node.rows:
-        if kkey is not None:
-            break
-        scale, leaf = row.zero_term(family, node.vs, ws_n)
-        xs.append(scale)
+        if kkey is None:
+            x, leaf = row.zero_term(context, node.vs, ws_n)
+        else:
+            leaf = None
+            x = kernels.get(kkey)
+            if x is None:
+                x = kernels[kkey] = specfun_kernel(row.name, row.kernel_args(ws_n), tr)
+        xs.append(x)
         leaves.append(leaf)
-    _check_separations(ws_n, family.params.tau)
-    for row, _, kkey in node.rows[len(xs) :]:
-        kernel = kernels.get(kkey)
-        if kernel is None:
-            kernel = kernels[kkey] = specfun_kernel(row.name, row.kernel_args(ws_n), tr)
-        xs.append(kernel)
-        leaves.append(None)
 
     total = 0.0 + 0.0j
     scale_sum = 0.0
@@ -470,7 +427,7 @@ def _evaluate(node: _PlanNode, ws: tuple, family: NPointRequest, kernels: dict, 
     for (row, child, kkey), x, leaf in zip(node.rows, xs, leaves):
         scale, kernel = (x, ONE) if kkey is None else (row.scale, x)
         out.append(x)
-        child_value = leaf if child is None else _evaluate(child, ws, family, kernels, out)
+        child_value = leaf if child is None else _evaluate(child, ws, context, kernels, out)
         out.append(child_value)
         contrib = scale * kernel * child_value
         total += contrib
@@ -530,10 +487,17 @@ PLAN_CACHE_SIZE = 256
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _cached_plan(family: NPointRequest, keys: tuple) -> ReductionPlan:
-    """The plan of a family, a request without insertions, and the keys of
-    its elements; the cache holds the last PLAN_CACHE_SIZE families."""
-    return ReductionPlan(family, tuple(AlgebraElement(dict(key)) for key in keys))
+def _cached_plan(spec, sector, cap, params, truncation, headroom, keys: tuple) -> _PlanNode:
+    """The root of the reduce_full tree of one request family: a request
+    without insertions, given by its fields, and the keys of its elements.
+
+    The plan holds the branch of every stage, the square-bracket images,
+    the child structure and the zero-point value, and no position; the
+    cache holds the last PLAN_CACHE_SIZE families.  A build that raises
+    is not kept."""
+    family = NPointRequest(spec=spec, sector=sector, cap=cap, insertions=(), params=params,
+                           truncation=truncation, headroom=headroom)
+    return _node(family, tuple(AlgebraElement(dict(key)) for key in keys), {})
 
 
 # ---------------------------------------------------------------------------
@@ -548,8 +512,9 @@ def reduce_step(req: NPointRequest) -> tuple[StepTerm, ...]:
         raise UnsupportedInsertion("nothing to reduce in a zero-point request")
     vs = tuple(v for v, _ in req.insertions)
     ws = tuple(complex(w) for _, w in req.insertions)
+    _check_separations(ws, req.params.tau)
     terms: list[StepTerm] = []
-    for row in stage_table("simplest", req, vs, ws):
+    for row in stage_table("simplest", req, vs):
         scale, kernel, args, child, leaf = row.at(req, vs, ws)
         child = None if child is None else req.with_insertions(tuple(zip(child, ws)))
         terms.append(StepTerm(row.kind, row.k, row.m, row.name, args, scale, kernel, child, leaf))
@@ -558,13 +523,24 @@ def reduce_step(req: NPointRequest) -> tuple[StepTerm, ...]:
 
 def reduce_full(req: NPointRequest) -> tuple[complex, CoefficientLedger]:
     """Full recursive reduction down to zero-point traces: the cached plan
-    of the request's family (`ReductionPlan`) evaluated at its positions.
-    Inhomogeneous square-bracket images are reduced part by part.
+    of the request's family evaluated at its positions.  Inhomogeneous
+    square-bracket images are reduced part by part.
 
-    Raises DegenerateInsertion when a stage with nonzero contributions
-    sums to a value smaller than roundoff allows ratios to survive."""
-    plan = _cached_plan(req.with_insertions(()), tuple(v.key() for v, _ in req.insertions))
-    return plan.evaluate(w for _, w in req.insertions)
+    The separations of every level, ws[:d] for d = n ... 2, are checked
+    first, also of stages the recursion never reaches.  Raises
+    DegenerateInsertion when a stage with nonzero contributions sums to a
+    value smaller than roundoff allows ratios to survive."""
+    ws = tuple(complex(w) for _, w in req.insertions)
+    for d in range(len(ws), 1, -1):
+        _check_separations(ws[:d], req.params.tau)
+    keys = tuple(v.key() for v, _ in req.insertions)
+    root = _cached_plan(req.spec, req.sector, req.cap, req.params, req.truncation, req.headroom,
+                        keys)
+    if not ws:
+        return root.leaf, CoefficientLedger(n=0, value=root.leaf, terms=(), is_leaf=True)
+    out: list = []
+    value = _evaluate(root, ws, req, {}, out)
+    return value, _PlanLedger.view(root, ws, tuple(out), 0, value)
 
 
 def reduce_negative_mode(req: NPointRequest, v: AlgebraElement, l: int) -> complex:

@@ -186,6 +186,8 @@ def homogeneous_parts(spec: AlgebraSpec, v: AlgebraElement) -> tuple[AlgebraElem
     order of those grades, each keeping v's term order; (v,) when v is
     homogeneous already.  An n-point function is linear in each slot, so
     it is the sum of its values at the parts."""
+    if len(v.terms) < 2:
+        return (v,)
     parts: dict[tuple, dict] = {}
     for state, c in v.terms.items():
         parts.setdefault(_grade(spec, state), {})[state] = c

@@ -645,3 +645,44 @@ def test_eval_value_may_start_with_a_minus_sign(capsys, monkeypatch, flag, value
             cli.main(argv)
         assert exc.value.code == 2
     assert "expected one argument" in capsys.readouterr().err
+
+
+# a(-2) and the pair a(-1)^2: the pair's images of a(-2) mix weights
+MIXED_PAIR_REQUEST = {
+    **BASE_REQUEST,
+    "cap": 4.0,
+    "insertions": [
+        {"state": {"boson": [[0, 2]]}, "z": [0.0, 0.1]},
+        {"state": {"boson": [[0, 1], [0, 1]]}, "z": [0.0, 0.2]},
+    ],
+}
+
+
+@pytest.mark.parametrize("variant", ["simplest", "shifted", "super"])
+def test_reduce_variants_take_images_that_mix_weights(variant, tmp_path):
+    r = run_cli("reduce", "--variant", variant, request=MIXED_PAIR_REQUEST, tmp_path=tmp_path)
+    assert r.returncode == 0, r.stdout
+    assert all(math.isfinite(x) for x in json.loads(r.stdout)["checks"][0]["value"])
+
+
+# at the lattice flux z = tau the stage of b has only a zero-trace row, so
+# the recursion never reaches the misordered stage of the two vacua
+UNREACHED_REQUEST = {
+    "schema": 1,
+    "algebra": {"kind": "complex_fermion", "grading": "charge_shifted"},
+    "cap": 3.0,
+    "params": {"z": [0.0, 0.6], "tau": [0.0, 0.6]},
+    "insertions": [
+        {"state": "1", "z": [0.0, 0.3]},
+        {"state": "1", "z": [0.0, 0.1]},
+        {"state": "b", "z": [0.0, 0.4]},
+    ],
+}
+
+
+def test_reduce_refuses_positions_of_a_stage_never_reached(tmp_path):
+    r = run_cli("reduce", request=UNREACHED_REQUEST, tmp_path=tmp_path)
+    assert r.returncode == 2
+    error = json.loads(r.stdout)["error"]
+    assert error["type"] == "DomainViolation"
+    assert "0 < Im w < Im tau" in error["message"]

@@ -96,6 +96,28 @@ def test_oracle_takes_composite_insertions(case):
     assert rel_err(npoint_oracle(req), value) < tol
 
 
+# Heisenberg rank 1: the pair a(-1)^2 maps a(-2) onto images that mix
+# weights, which every stage variant reduces part by part
+H1 = AlgebraSpec(kind="heisenberg", rank=1)
+MIXED = {
+    "a(-2) | a(-1)^2": ((A2, A0A0), (0.1j, 0.2j)),
+    "J, a(-2) | a(-1)^2": ((current_state(H1), A2, A0A0), (0.1j, 0.2j, 0.3j)),
+}
+
+
+@pytest.mark.parametrize("variant", ["simplest", "shifted", "super"])
+@pytest.mark.parametrize("case", sorted(MIXED))
+def test_stage_variants_reduce_images_that_mix_weights(case, variant):
+    states, ws = MIXED[case]
+    full = NPointRequest(spec=H1, sector=(0.6,), cap=4.0, insertions=tuple(zip(states, ws)),
+                         params=JacobiParams(z=Z0, tau=ModularPoint(0.5j)))
+    base = full.with_insertions(full.insertions[:-1])
+    contribs = stage_contributions(variant, base, reduction_family(base), states, ws)
+    total = sum(c.value for c in contribs)
+    want = reduce_full(full)[0]
+    assert abs(total - want) <= 1e-12 * abs(want)
+
+
 @pytest.fixture(scope="module")
 def bcj_oracle():
     spec, sector, cap, headroom, states, ws, supertrace, _ = COMPOSITE["b,c,Jbc"]

@@ -17,10 +17,13 @@ from jrl.reduction import (
     NPointRequest,
     reduce_full,
     reduce_step,
+    reduction_family,
+    stage_contributions,
 )
 from jrl.reduction import steps
 from jrl.specfun import ModularPoint
 from jrl.voa import (
+    VACUUM,
     AlgebraElement,
     AlgebraSpec,
     BasisState,
@@ -152,3 +155,60 @@ def test_bad_positions_raise_before_an_unsupported_image():
     # the failed build left no tree: good positions meet the image fault
     with pytest.raises(UnsupportedInsertion, match="outside the supported families"):
         reduce_full(at(req, (0.1j, 0.4j, 0.7j)))
+
+
+def test_a_warm_plan_reads_no_stage_table_and_checks_each_level_once(monkeypatch):
+    fam = FAMILIES["shifted"]
+    reduce_full(at(fam, SCAN[0]))
+    req = at(fam, SCAN[1])
+    tables, checks = [], []
+    check = steps._check_separations
+
+    def counted_check(ws, tau):
+        checks.append(ws)
+        check(ws, tau)
+
+    monkeypatch.setattr(steps, "stage_table", lambda *args: tables.append(args))
+    monkeypatch.setattr(steps, "_check_separations", counted_check)
+    warm = reduce_full(req)
+    monkeypatch.undo()
+    assert tables == []
+    assert checks == [SCAN[1][:4], SCAN[1][:3], SCAN[1][:2]]
+    clear_caches()
+    assert reduce_full(req) == warm
+
+
+# charge-shifted complex fermion at the lattice flux z = tau: the stage of b
+# has only a zero-trace row, so the recursion never reaches the stage of
+# the two vacua, whose positions are in the wrong order
+UNREACHED_TAU = ModularPoint(0.6j)
+ONE = AlgebraElement.from_state(VACUUM)
+UNREACHED = NPointRequest(
+    spec=CF, sector=(), cap=3.0,
+    insertions=((ONE, 0.3j), (ONE, 0.1j), (B, 0.4j)),
+    params=JacobiParams(z=UNREACHED_TAU.tau, tau=UNREACHED_TAU),
+)
+
+
+def test_positions_of_a_stage_the_recursion_never_reaches_raise():
+    assert [t.kind for t in reduce_step(UNREACHED)] == ["zero_trace"]
+    for _ in range(2):  # cold, then with the plan of the family warm
+        with pytest.raises(DomainViolation, match="0 < Im w < Im tau"):
+            reduce_full(UNREACHED)
+        reduce_full(at(UNREACHED, (0.1j, 0.3j, 0.4j)))
+
+
+def test_bad_positions_raise_before_an_unresolved_branch():
+    # the flux sits 1e-7 from the lattice point tau, inside the suspicion
+    # band, and the positions are swapped: the separation error comes first
+    params = JacobiParams(z=UNREACHED_TAU.tau + 1e-7, tau=UNREACHED_TAU, supertrace=True)
+    req = NPointRequest(spec=CF, sector=(), cap=3.0, insertions=((B, 0.31j), (C, 0.12j)),
+                        params=params)
+    base = req.with_insertions(req.insertions[:1])
+    vs, ws = zip(*req.insertions)
+    with pytest.raises(DomainViolation, match="0 < Im w < Im tau"):
+        reduce_full(req)
+    with pytest.raises(DomainViolation, match="0 < Im w < Im tau"):
+        reduce_step(req)
+    with pytest.raises(DomainViolation, match="0 < Im w < Im tau"):
+        stage_contributions("simplest", base, reduction_family(base), vs, ws)

@@ -62,7 +62,16 @@ compared with one `diff` of their files.  The battery runs the program in
   (`steps._bracket_image`) for the shapes v of
   `tests/test_composite_insertions.py` `BOUND_CASES`, every basis state x
   up to level 4, m from 0 to `last_mode` and shift in {0, 0.7, -1}, as
-  the repr of their terms.
+  the repr of their terms;
+- the stage contributions of "simplest", "shifted" and "super" on
+  `reduction_family` at (a(-2) | a(-1)^2) and (J, a(-2) | a(-1)^2) on
+  Heisenberg rank 1, whose images mix weights, and `jrl reduce --variant`
+  of the four variants on the first; `jrl reduce` with and without
+  `--oracle` on the charge-shifted complex fermion (1, 1 | b) at z = tau,
+  whose misordered vacua sit in a stage the recursion never reaches; and
+  `reduce_full`, `reduce_step` and the "simplest" stage on (b | c) with a
+  flux in the suspicion band and swapped positions, each as its values or
+  its typed error.
 
 Each CLI command runs in a fresh interpreter.  It takes under a minute.
 """
@@ -477,6 +486,55 @@ def sized_image_battery(out) -> None:
                         out.write(f"{m} {shift} {x.key()!r} {img.key()!r}\n")
 
 
+MIXED_WS = (0.1j, 0.2j, 0.3j)
+
+
+def position_battery(out, tmp: Path) -> None:
+    a2 = AlgebraElement.from_state(BasisState(boson=((0, 2),)))
+    pair = AlgebraElement.from_state(BasisState(boson=((0, 1), (0, 1))))
+    params = JacobiParams(z=TESTS_Z, tau=TESTS_TAU)
+    for name, vs in (("a(-2) | a(-1)^2", (a2, pair)),
+                     ("J, a(-2) | a(-1)^2", (current_state(HEIS1), a2, pair))):
+        ws = MIXED_WS[: len(vs)]
+        base = NPointRequest(spec=HEIS1, sector=(0.6,), cap=4.0,
+                             insertions=tuple(zip(vs[:-1], ws[:-1])), params=params)
+        for variant in ("simplest", "shifted", "super"):
+            stage = lambda: [  # noqa: E731
+                c.value for c in stage_contributions(variant, base, reduction_family(base), vs, ws)
+            ]
+            out.write(f"## mixed-weight stage {name} {variant}\n{_outcome(stage)}\n")
+    doc = json.loads(json.dumps(README_REQUEST))
+    doc["cap"] = 4.0
+    doc["insertions"] = [{"state": {"boson": [[0, 2]]}, "z": [0.0, 0.1]},
+                         {"state": {"boson": [[0, 1], [0, 1]]}, "z": [0.0, 0.2]}]
+    path = tmp / "mixed-pair.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for variant in VARIANTS:
+        cli(out, ["reduce", "--variant", variant, "--request", str(path)])
+    path = tmp / "unreached.json"
+    path.write_text(json.dumps({
+        "schema": 1, "algebra": {"kind": "complex_fermion", "grading": "charge_shifted"},
+        "cap": 3.0, "params": {"z": [0.0, 0.6], "tau": [0.0, 0.6]},
+        "insertions": [{"state": "1", "z": [0.0, 0.3]}, {"state": "1", "z": [0.0, 0.1]},
+                       {"state": "b", "z": [0.0, 0.4]}],
+    }), encoding="utf-8")
+    out.write("# reduce unreached stage\n")
+    cli(out, ["reduce", "--request", str(path)])
+    cli(out, ["reduce", "--oracle", "--request", str(path)])
+    tau = ModularPoint(0.6j)
+    req = NPointRequest(spec=workloads.CFERM, sector=(), cap=3.0,
+                        insertions=((_S["b"], 0.31j), (_S["c"], 0.12j)),
+                        params=JacobiParams(z=tau.tau + 1e-7, tau=tau, supertrace=True))
+    base = req.with_insertions(req.insertions[:1])
+    vs, ws = zip(*req.insertions)
+    for name, fn in (
+        ("reduce_full", lambda: reduce_full(req)[0]),
+        ("reduce_step", lambda: [t.kernel for t in reduce_step(req)]),
+        ("stage", lambda: stage_contributions("simplest", base, reduction_family(base), vs, ws)),
+    ):
+        out.write(f"## two faults {name}\n{_outcome(fn)}\n")
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
@@ -495,6 +553,7 @@ def main(argv: list[str]) -> int:
         probe_battery(out)
         refusal_battery(out, Path(tmp))
         sized_image_battery(out)
+        position_battery(out, Path(tmp))
     return 0
 
 
